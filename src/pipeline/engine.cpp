@@ -4,7 +4,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -15,7 +14,6 @@
 #include "pipeline/temporal.h"
 #include "util/error.h"
 #include "util/faultpoint.h"
-#include "util/parallel.h"
 #include "util/pool.h"
 
 namespace hebs::pipeline {
@@ -103,48 +101,6 @@ bool deadline_blown(const EngineOptions& opts,
              .count() > opts.frame_deadline_us;
 }
 
-/// RowExecutor backed by the engine's ThreadPool: fans one frame's
-/// independent row ranges across the pool's workers.  Installed only
-/// around work running inline on the calling thread while the pool is
-/// idle (parallel_for is not reentrant).  The runner closure is built
-/// once — a std::function per run() would put an allocation into the
-/// steady state the alloc bench gates.
-class PoolRowExecutor final : public util::RowExecutor {
- public:
-  explicit PoolRowExecutor(ThreadPool& pool)
-      : pool_(pool),
-        effective_(pool.effective_concurrency()),
-        runner_([this](std::size_t chunk, int) {
-          const int begin = static_cast<int>(chunk) * step_;
-          (*body_)(begin, std::min(n_, begin + step_));
-        }) {}
-
-  void run(int n, util::RowBody body) override {
-    // Fan out only when splitting can help: more than one worker that
-    // can actually run concurrently, and enough rows per chunk to
-    // amortize the pool wake.
-    constexpr int kMinChunkRows = 8;
-    if (effective_ < 2 || n < 2 * kMinChunkRows) {
-      body(0, n);
-      return;
-    }
-    const int chunks = std::min(effective_, n / kMinChunkRows);
-    n_ = n;
-    step_ = (n + chunks - 1) / chunks;
-    body_ = &body;
-    pool_.parallel_for(static_cast<std::size_t>(chunks), runner_);
-    body_ = nullptr;
-  }
-
- private:
-  ThreadPool& pool_;
-  const int effective_;
-  int n_ = 0;
-  int step_ = 0;
-  const util::RowBody* body_ = nullptr;
-  const std::function<void(std::size_t, int)> runner_;
-};
-
 /// Runs `per_frame` for every image on the pool, each worker reusing one
 /// rebound FrameContext drawing from its own recycling buffer pool.
 /// Results land at their frame's index, so output order never depends
@@ -203,17 +159,11 @@ std::vector<Result> map_frames(ThreadPool& pool, const EngineOptions& opts,
   };
   if (images.size() == 1) {
     // Single frame: frame-level fan-out cannot help, so run inline on
-    // the calling thread (no pool wake) and repurpose the idle workers
-    // for intra-frame row parallelism instead — this is what lets extra
-    // threads cut single-frame latency rather than add dispatch cost.
+    // the calling thread (no pool wake).  The workers stay idle: one
+    // frame's search is sequential, and splitting its row loops across
+    // workers did not pay at any size from 96² to 1024² (DESIGN.md §11).
     auto buffer_pool = make_pool(opts);
     util::PoolScope scope(buffer_pool.get());
-    std::optional<PoolRowExecutor> rows;
-    std::optional<util::ParallelScope> rows_scope;
-    if (pool.effective_concurrency() > 1) {
-      rows.emplace(pool);
-      rows_scope.emplace(&*rows);
-    }
     std::unique_ptr<FrameContext> ctx;
     obs::ScopedSpan frame_span(obs::Span::kFrame, 0);
     run_contained(ctx, 0);

@@ -179,9 +179,9 @@ TEST(DecisionPath, TinyFramesUnderRmse) {
 }
 
 TEST(DecisionPath, EngineResultsIndependentOfThreadCount) {
-  // Intra-frame row parallelism reorders probe evaluation internally;
-  // the adopted decisions must not depend on worker count, and a
-  // second identical batch must reproduce the first bit for bit.
+  // Workers take whole frames in whatever order they claim them; the
+  // adopted decisions must not depend on worker count, and a second
+  // identical batch must reproduce the first bit for bit.
   const auto album = hebs::image::usid_album(48);
   std::vector<hebs::image::GrayImage> frames;
   for (std::size_t i = 0; i < album.size(); i += 3) {

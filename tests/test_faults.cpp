@@ -289,7 +289,7 @@ TEST_F(FaultMatrixTest, SingleFrameInlinePathContains) {
   std::string error;
   ASSERT_TRUE(fault::install_from_string("worker-task", &error));
   EngineOptions opts;
-  opts.num_threads = 4;  // exercises the intra-frame row-executor setup
+  opts.num_threads = 4;  // one frame still runs inline, workers idle
   PipelineEngine engine(opts, model());
   std::vector<FrameFault> faults;
   std::vector<core::HebsResult> results;

@@ -7,6 +7,7 @@
 
 #include "hebs/advanced/core.h"
 #include "hebs/advanced/image.h"
+#include "hebs/advanced/obs.h"
 #include "hebs/advanced/pipeline.h"
 #include "pipeline/executor.h"
 #include "hebs/advanced/util.h"
@@ -113,6 +114,20 @@ TEST(Engine, BatchInvariantAcrossThreadCounts) {
       expect_same_result(runs[r][i], runs[0][i]);
     }
   }
+}
+
+TEST(Engine, SingleFrameBatchNeverFansOut) {
+  // A frame runs on one thread: a one-frame batch stays inline on the
+  // caller and leaves the workers idle, whatever the thread count.
+  const auto images = small_album(1, 96);
+  EngineOptions opts;
+  opts.num_threads = 4;
+  PipelineEngine engine(opts, model());
+  const auto before = obs::snapshot_counters();
+  const auto results = engine.process_batch(images, 10.0);
+  const auto delta = obs::snapshot_counters().delta_since(before);
+  ASSERT_EQ(results.size(), 1u);
+  EXPECT_EQ(delta[obs::Counter::kParallelForCalls], 0u);
 }
 
 TEST(Engine, BatchAtRangeMatchesSerial) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "hebs/advanced/image.h"
 #include "hebs/advanced/quality.h"
@@ -144,6 +147,52 @@ TEST(Uiqi, FloatOverloadAgreesWithGrayOverload) {
                          hebs::image::FloatImage::from_gray(b));
   // Same data up to the /255 scale, which cancels in Q.
   EXPECT_NEAR(q8, qf, 1e-9);
+}
+
+// uiqi_from_stats promises the same bits with or without cached
+// reference moments: the cached path runs window rows through the q-row
+// kernel, the generic path evaluates the formula window by window, and
+// both accumulate in row-major order.
+TEST(Uiqi, CachedReferenceMomentsMatchWindowLoopBitForBit) {
+  hebs::util::Rng rng(2024);
+  const auto check = [&](const std::vector<double>& a,
+                         const std::vector<double>& b, int w, int h,
+                         const std::string& what) {
+    for (const int block : {8, 5}) {
+      UiqiOptions opts;
+      opts.block_size = block;
+      const PairStats plain(a, b, w, h);
+      const ImageStats a_stats(a, w, h);
+      const RefWindowMoments ref(a_stats, block);
+      const PairStats cached(a_stats, a, b, w, h);
+      EXPECT_EQ(uiqi_from_stats(plain, w, h, opts),
+                uiqi_from_stats(cached, w, h, opts, &ref))
+          << what << " " << w << "x" << h << " block " << block;
+    }
+  };
+  std::vector<std::pair<int, int>> sizes = {{8, 8},   {9, 8},   {8, 97},
+                                            {97, 8},  {13, 31}, {47, 23},
+                                            {97, 97}, {64, 33}};
+  for (int i = 0; i < 12; ++i) {
+    sizes.emplace_back(rng.uniform_int(8, 97), rng.uniform_int(8, 97));
+  }
+  for (const auto& [w, h] : sizes) {
+    const auto n = static_cast<std::size_t>(w) * static_cast<std::size_t>(h);
+    std::vector<double> a(n);
+    std::vector<double> b(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      a[i] = rng.uniform();
+      b[i] = rng.uniform();
+    }
+    check(a, b, w, h, "random");
+    for (std::size_t i = 0; i < n; ++i) b[i] = 0.8 * a[i];
+    check(a, b, w, h, "0.8a");
+    for (const auto& [fa, fb] : {std::pair{0.0, 0.0}, std::pair{0.0, 0.5},
+                                 std::pair{0.4, 0.4}, std::pair{0.3, 0.9}}) {
+      check(std::vector<double>(n, fa), std::vector<double>(n, fb), w, h,
+            "flat " + std::to_string(fa) + "/" + std::to_string(fb));
+    }
+  }
 }
 
 TEST(Uiqi, ValidatesArguments) {
