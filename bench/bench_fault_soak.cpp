@@ -27,12 +27,21 @@
 namespace {
 
 namespace fault = hebs::util::fault;
+using hebs::core::ColorMode;
+using hebs::core::VideoBacklightController;
 using hebs::image::GrayImage;
 using hebs::image::RgbImage;
 using hebs::image::UsidId;
 using hebs::pipeline::EngineOptions;
+using hebs::pipeline::FrameContext;
 using hebs::pipeline::FrameFault;
+using hebs::pipeline::FrameSource;
 using hebs::pipeline::PipelineEngine;
+
+/// The exact-search decision at a 10% budget.
+hebs::core::HebsResult exact10(FrameContext& ctx) {
+  return hebs::pipeline::run_exact(ctx, 10.0);
+}
 
 int g_violations = 0;
 
@@ -99,7 +108,7 @@ void soak_point(const char* spec) {
     check(fault::install_from_string(spec, &error), error);
     auto before = hebs::obs::snapshot_counters();
     PipelineEngine(opts, hebs::bench::platform())
-        .process_batch(frames, 10.0, &faults);
+        .run_batch(FrameSource(frames), exact10, &faults);
     fault::clear_all();
     audit("batch", faults, frames.size(), before);
 
@@ -107,25 +116,28 @@ void soak_point(const char* spec) {
     check(fault::install_from_string(spec, &error), error);
     before = hebs::obs::snapshot_counters();
     PipelineEngine(opts, hebs::bench::platform())
-        .process_batch_color(rgb, 10.0, hebs::core::ColorMode::kSharedCurve,
-                             &faults);
+        .run_batch(FrameSource(rgb, ColorMode::kSharedCurve), exact10,
+                   &faults);
     fault::clear_all();
     audit("batch-color", faults, rgb.size(), before);
 
     // Stream (temporal on: the quarantine path rebuilds reuse chains).
     check(fault::install_from_string(spec, &error), error);
     before = hebs::obs::snapshot_counters();
+    VideoBacklightController controller(vopts, hebs::bench::platform());
     PipelineEngine(opts, hebs::bench::platform())
-        .process_stream(frames, vopts, &faults);
+        .run_stream(FrameSource(frames), controller, &faults);
     fault::clear_all();
     audit("stream", faults, frames.size(), before);
 
     // Stream color.
     check(fault::install_from_string(spec, &error), error);
     before = hebs::obs::snapshot_counters();
+    VideoBacklightController color_controller(vopts,
+                                              hebs::bench::platform());
     PipelineEngine(opts, hebs::bench::platform())
-        .process_stream_color(rgb, vopts, hebs::core::ColorMode::kSharedCurve,
-                              &faults);
+        .run_stream(FrameSource(rgb, ColorMode::kSharedCurve),
+                    color_controller, &faults);
     fault::clear_all();
     audit("stream-color", faults, rgb.size(), before);
   }
@@ -145,7 +157,7 @@ void soak_deadline() {
   opts.frame_deadline_us = 500;
   const auto before = hebs::obs::snapshot_counters();
   PipelineEngine(opts, hebs::bench::platform())
-      .process_batch(frames, 10.0, &faults);
+      .run_batch(FrameSource(frames), exact10, &faults);
   fault::clear_all();
   audit("batch-deadline", faults, frames.size(), before);
   std::size_t deadline_faults = 0;

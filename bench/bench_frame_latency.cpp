@@ -13,8 +13,12 @@
 //   warm-1t         streaming steady state: marginal cost per duplicate
 //                   frame under the temporal-coherence fast path
 //
+// The two cold rows run on two engines that take turns frame by frame
+// on every pass, so host speed drift lands on both alike and their p50
+// ratio (the --min-speedup gate below) stays steady.
+//
 // A frame always runs on one thread, so extra workers only pay across
-// frames.  The batch rows measure exactly that: one process_batch over
+// frames.  The batch rows measure exactly that: one run_batch over
 // the whole mix per pass, reporting frames/s and scaling efficiency
 // (fps / (effective workers x batch-1t fps)):
 //
@@ -25,7 +29,7 @@
 // kFrame span (plus the flicker post-stage span for the streaming
 // config), so this bench measures exactly what a trace viewer shows.
 // Counter deltas add the search depth per configuration.  Batch rows
-// are wall time around the whole process_batch call, taken with
+// are wall time around the whole run_batch call, taken with
 // tracing off.
 //
 // Records merge into BENCH_pipeline.json (other benches' records are
@@ -128,49 +132,69 @@ struct RunCounters {
   double reuse_cold = 0.0;
 };
 
-/// Times each frame of the mix through a fresh single-frame
-/// process_batch call: histogram, search and render all run cold.
-/// Samples are the durations of the engine's kFrame spans, in call
-/// order.
-std::vector<double> cold_samples(const std::vector<MixFrame>& mix,
-                                 int threads, bool coarse, int passes,
-                                 RunCounters* counters) {
-  pipeline::EngineOptions opts;
-  opts.num_threads = threads;
-  opts.hebs.coarse_search = coarse;
-  pipeline::PipelineEngine engine(opts);
-  obs::clear_trace();
-  const auto before = obs::snapshot_counters();
+/// The exact-search decision at the bench budget.
+core::HebsResult decide(pipeline::FrameContext& ctx) {
+  return pipeline::run_exact(ctx, kBudget);
+}
+
+/// Times each frame of the mix through a fresh single-frame batch call
+/// on both 1-thread cold paths: histogram, search and render all run
+/// cold.  Two engines (coarse-to-fine and the frozen bisection) take
+/// turns frame by frame on every pass, so one-thread speed drift on the
+/// host lands on both alike and their p50 ratio stays steady.  Samples
+/// are the durations of the engine's kFrame spans, in call order;
+/// `coarse` and `bisect` receive one each per frame per pass.
+void cold_samples(const std::vector<MixFrame>& mix, int passes,
+                  std::vector<double>& coarse, RunCounters& coarse_counters,
+                  std::vector<double>& bisect,
+                  RunCounters& bisect_counters) {
+  struct Path {
+    std::unique_ptr<pipeline::PipelineEngine> engine;
+    std::vector<double>& samples;
+    RunCounters& counters;
+    std::uint64_t range_probes = 0;
+  };
+  const auto make_engine = [](bool coarse_search) {
+    pipeline::EngineOptions opts;
+    opts.num_threads = 1;
+    opts.hebs.coarse_search = coarse_search;
+    return std::make_unique<pipeline::PipelineEngine>(opts);
+  };
+  Path paths[] = {{make_engine(true), coarse, coarse_counters},
+                  {make_engine(false), bisect, bisect_counters}};
+  const std::size_t expected = mix.size() * static_cast<std::size_t>(passes);
+  for (Path& path : paths) path.samples.reserve(expected);
   for (int pass = 0; pass < passes; ++pass) {
     for (const auto& frame : mix) {
       const std::span<const image::GrayImage> one(&frame.image, 1);
-      const auto result = engine.process_batch(one, kBudget);
-      if (result.empty()) std::exit(2);  // keep the call observable
+      for (Path& path : paths) {
+        obs::clear_trace();
+        const auto before = obs::snapshot_counters();
+        const auto result = path.engine->run_batch(one, decide);
+        if (result.empty()) std::exit(2);  // keep the call observable
+        path.range_probes += obs::snapshot_counters().delta_since(
+            before)[obs::Counter::kRangeProbes];
+        for (const obs::CollectedSpan& s : obs::collect_trace()) {
+          if (s.span == obs::Span::kFrame) {
+            path.samples.push_back(static_cast<double>(s.dur_ns));
+          }
+        }
+      }
     }
   }
-  const auto delta = obs::snapshot_counters().delta_since(before);
-  std::vector<double> samples;
-  samples.reserve(mix.size() * static_cast<std::size_t>(passes));
-  for (const obs::CollectedSpan& s : obs::collect_trace()) {
-    if (s.span == obs::Span::kFrame) {
-      samples.push_back(static_cast<double>(s.dur_ns));
+  for (Path& path : paths) {
+    if (path.samples.size() != expected) {
+      std::fprintf(stderr,
+                   "FAIL: expected %zu kFrame spans, collected %zu "
+                   "(dropped %llu)\n",
+                   expected, path.samples.size(),
+                   static_cast<unsigned long long>(obs::dropped_spans()));
+      std::exit(2);
     }
+    path.counters.range_probes_per_frame =
+        static_cast<double>(path.range_probes) /
+        static_cast<double>(expected);
   }
-  if (samples.size() != mix.size() * static_cast<std::size_t>(passes)) {
-    std::fprintf(stderr,
-                 "FAIL: expected %zu kFrame spans, collected %zu "
-                 "(dropped %llu)\n",
-                 mix.size() * static_cast<std::size_t>(passes),
-                 samples.size(),
-                 static_cast<unsigned long long>(obs::dropped_spans()));
-    std::exit(2);
-  }
-  if (counters != nullptr) {
-    counters->range_probes_per_frame =
-        static_cast<double>(delta[obs::Counter::kRangeProbes]) /
-        static_cast<double>(samples.size());
-  }
-  return samples;
 }
 
 /// Streaming steady state: runs a clip of `kReps` duplicates of each
@@ -192,8 +216,9 @@ std::vector<double> warm_samples(const std::vector<MixFrame>& mix,
   for (int pass = 0; pass < passes; ++pass) {
     for (const auto& frame : mix) {
       const std::vector<image::GrayImage> clip(kReps, frame.image);
+      core::VideoBacklightController controller(vopts);
       obs::clear_trace();
-      engine.process_stream(clip, vopts);
+      engine.run_stream(pipeline::FrameSource(clip), controller);
       double warm_ns = 0.0;
       int warm_frames = 0;
       for (const obs::CollectedSpan& s : obs::collect_trace()) {
@@ -233,7 +258,7 @@ constexpr int kBatchThreads[] = {1, 2, 4};
 
 /// Aggregate throughput of frame-level parallelism: one engine per
 /// entry of kBatchThreads, then `passes` rounds that each time one
-/// process_batch over the whole mix per engine.  Rounds interleave the
+/// run_batch over the whole mix per engine.  Rounds interleave the
 /// engines so a stretch of host contention lands on every worker count
 /// alike.  Returns wall times in ns, one vector per worker count.
 std::vector<std::vector<double>> batch_samples(
@@ -253,7 +278,7 @@ std::vector<std::vector<double>> batch_samples(
   const auto round = [&](bool timed) {
     for (std::size_t e = 0; e < engines.size(); ++e) {
       const auto start = Clock::now();
-      const auto results = engines[e]->process_batch(all, kBudget);
+      const auto results = engines[e]->run_batch(all, decide);
       const auto stop = Clock::now();
       if (results.size() != frames.size()) std::exit(2);
       if (timed) {
@@ -315,11 +340,9 @@ int main(int argc, char** argv) {
   };
   std::vector<Row> rows;
   rows.push_back({"cold-1t", {}, {}});
-  rows.back().samples = cold_samples(mix, 1, true, passes,
-                                     &rows.back().counters);
   rows.push_back({"cold-1t-bisect", {}, {}});
-  rows.back().samples = cold_samples(mix, 1, false, passes,
-                                     &rows.back().counters);
+  cold_samples(mix, passes, rows[0].samples, rows[0].counters,
+               rows[1].samples, rows[1].counters);
   rows.push_back({"warm-1t", {}, {}});
   rows.back().samples = warm_samples(mix, passes, &rows.back().counters);
 

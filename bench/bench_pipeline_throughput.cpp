@@ -528,7 +528,10 @@ int run_batch_report(int batch_size) {
     opts.num_threads = threads;
     pipeline::PipelineEngine engine(opts, platform());
     const auto t = std::chrono::steady_clock::now();
-    const auto batch = engine.process_batch(images, kBudget);
+    const auto batch = engine.run_batch(
+        pipeline::FrameSource(images), [](pipeline::FrameContext& ctx) {
+          return pipeline::run_exact(ctx, kBudget);
+        });
     const double elapsed = seconds_since(t);
     if (threads == 1) engine1_s = elapsed;
     record("engine-" + std::to_string(threads) + "t", elapsed);
@@ -539,7 +542,7 @@ int run_batch_report(int batch_size) {
 
     std::size_t mismatches = 0;
     for (std::size_t i = 0; i < images.size(); ++i) {
-      if (!same_result(batch[i], serial[i])) ++mismatches;
+      if (!same_result(batch[i].decision, serial[i])) ++mismatches;
     }
     std::printf("  bit-identical to serial (%d thread%s): %s\n", threads,
                 threads == 1 ? "" : "s",
@@ -599,7 +602,10 @@ int run_stage_breakdown() {
     const auto before = obs::snapshot_counters();
     for (int r = 0; r < kReps; ++r) {
       const std::span<const image::GrayImage> one(&img, 1);
-      benchmark::DoNotOptimize(engine.process_batch(one, kBudget));
+      benchmark::DoNotOptimize(
+          engine.run_batch(one, [](pipeline::FrameContext& ctx) {
+            return pipeline::run_exact(ctx, kBudget);
+          }));
     }
     ModeReport report;
     report.delta = obs::snapshot_counters().delta_since(before);

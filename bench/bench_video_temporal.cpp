@@ -126,8 +126,8 @@ VideoOptions config_options(bool pooled, bool temporal) {
   return opts;
 }
 
-bool same_color_result(const hebs::pipeline::ColorStreamResult& a,
-                       const hebs::pipeline::ColorStreamResult& b) {
+bool same_color_result(const hebs::pipeline::StreamResult& a,
+                       const hebs::pipeline::StreamResult& b) {
   return a.decision.beta == b.decision.beta &&
          a.decision.raw_beta == b.decision.raw_beta &&
          a.color.hue_error == b.color.hue_error &&
@@ -141,16 +141,18 @@ bool same_color_result(const hebs::pipeline::ColorStreamResult& a,
 /// configuration; returns elapsed seconds.
 double run_color_once(const std::vector<hebs::image::RgbImage>& frames,
                       const VideoOptions& opts,
-                      std::vector<hebs::pipeline::ColorStreamResult>* out) {
+                      std::vector<hebs::pipeline::StreamResult>* out) {
   hebs::pipeline::EngineOptions eopts;
   eopts.num_threads = 1;
   eopts.hebs = opts.hebs;
   eopts.use_buffer_pool = opts.use_buffer_pool;
   eopts.temporal_reuse = opts.temporal_reuse;
   hebs::pipeline::PipelineEngine engine(eopts, hebs::bench::platform());
+  VideoBacklightController controller(opts, hebs::bench::platform());
   const auto t0 = std::chrono::steady_clock::now();
-  auto results = engine.process_stream_color(
-      frames, opts, hebs::core::ColorMode::kSharedCurve);
+  auto results = engine.run_stream(
+      hebs::pipeline::FrameSource(frames, hebs::core::ColorMode::kSharedCurve),
+      controller);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -299,14 +301,14 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(frames),
         hebs::image::make_usid_color(hebs::image::UsidId::kPeppers, size));
     std::printf("--- static-color ---\n");
-    std::vector<hebs::pipeline::ColorStreamResult> reference;
+    std::vector<hebs::pipeline::StreamResult> reference;
     (void)run_color_once(color_clip, config_options(false, false),
                          &reference);
     double baseline_s = 0.0;
     for (const ModeSpec& mode : modes) {
       const VideoOptions opts = config_options(mode.pooled, mode.temporal);
       (void)run_color_once(color_clip, opts, nullptr);  // warm caches
-      std::vector<hebs::pipeline::ColorStreamResult> results;
+      std::vector<hebs::pipeline::StreamResult> results;
       const auto counters_before = hebs::obs::snapshot_counters();
       const double elapsed = run_color_once(color_clip, opts, &results);
       const auto delta =

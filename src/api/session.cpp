@@ -14,6 +14,7 @@
 #include "baseline/cbcs.h"
 #include "baseline/dls.h"
 #include "core/color.h"
+#include "core/dbs.h"
 #include "core/distortion_curve.h"
 #include "core/hebs.h"
 #include "core/video.h"
@@ -64,16 +65,6 @@ OwnedImage16 to_owned(const hebs::image::GrayImage16& img) {
                       std::vector<std::uint16_t>(span.begin(), span.end()));
 }
 
-/// The operating point a FrameResult describes: its deployed curve Λ
-/// and β.  Reconstructing from the result's own points keeps the color
-/// stage a pure post-decision consumer of the stable result type.
-core::OperatingPoint point_of(const FrameResult& r) {
-  std::vector<hebs::transform::CurvePoint> pts;
-  pts.reserve(r.lambda.size());
-  for (const CurvePoint& p : r.lambda) pts.push_back({p.x, p.y});
-  return {hebs::transform::PwlCurve(std::move(pts)), r.beta};
-}
-
 void fill_color(const hebs::image::RgbImage& displayed, double hue_error,
                 FrameResult& out) {
   out.displayed_rgb = to_owned(displayed);
@@ -120,15 +111,6 @@ FrameResult to_frame_result(const core::HebsResult& r) {
   out.lambda = to_api_points(r.lambda);
   out.phi = to_api_points(r.phi);
   out.plc_mse = r.plc_mse;
-  return out;
-}
-
-/// Baseline policies have no GHE/PLC stages: the result is the chosen
-/// operating point's transform over the full grayscale.
-FrameResult to_frame_result(const core::EvaluatedPoint& eval) {
-  FrameResult out;
-  fill_evaluation(eval, out);
-  out.lambda = to_api_points(eval.point.luminance_transform);
   return out;
 }
 
@@ -280,9 +262,8 @@ struct Session::Impl {
     // One MiB knob bounds both pool budgets: retention (free lists) and
     // outstanding checkout (exhaustion degrades to counted heap blocks
     // rather than failing a frame — see EngineOptions::pool_max_bytes).
-    opts.pool_max_retained_bytes =
+    opts.pool_max_bytes =
         static_cast<std::size_t>(cfg.pool_max_mb()) * 1024 * 1024;
-    opts.pool_max_bytes = opts.pool_max_retained_bytes;
     opts.temporal_reuse = cfg.temporal_reuse();
     opts.frame_deadline_us = cfg.frame_deadline_us();
     return opts;
@@ -360,137 +341,184 @@ struct Session::Impl {
     return Status();
   }
 
-  Expected<FrameResult> run_baseline(const hebs::image::GrayImage& img,
-                                     double d_max_percent) {
-    core::OperatingPoint point;
-    switch (policy->kind) {
-      case PolicyKind::kDls:
-        point = hebs::baseline::DlsPolicy(
-                    hebs::baseline::DlsMode::kBrightnessCompensation,
-                    hebs_opts.distortion, model)
-                    .choose(img, d_max_percent);
-        break;
-      case PolicyKind::kDlsContrast:
-        point = hebs::baseline::DlsPolicy(
-                    hebs::baseline::DlsMode::kContrastEnhancement,
-                    hebs_opts.distortion, model)
-                    .choose(img, d_max_percent);
-        break;
-      case PolicyKind::kCbcs:
-        point = hebs::baseline::CbcsPolicy({}, hebs_opts.distortion, model)
-                    .choose(img, d_max_percent);
-        break;
-      default:
-        return Status(StatusCode::kInternal,
-                      "run_baseline: policy \"" + policy->entry.name +
-                          "\" (kind " +
-                          std::to_string(static_cast<int>(policy->kind)) +
-                          ") reached the baseline dispatcher unhandled");
-    }
-    return to_frame_result(
-        core::evaluate_operating_point(img, point, model,
-                                       hebs_opts.distortion));
-  }
-
-  Expected<FrameResult> run_one(const FrameRequest& request,
-                                const hebs::image::GrayImage& img) {
-    if (request.fixed_range > 0) {
+  /// The policy's per-frame decision: the one place policy maps to
+  /// decision.  `process` runs the closure this returns on a local
+  /// context, run_batch (behind both batch entry points) on the engine.
+  /// `fixed_range` > 0 selects the fixed-range pipeline; the request was
+  /// range-checked by the caller.  hebs-curve fetches its curve here,
+  /// once per call (characterized on first use).
+  Expected<pipeline::Decide> decision(double d_max_percent,
+                                      int fixed_range) {
+    if (fixed_range > 0) {
+      if (deep() && policy->kind != PolicyKind::kHebsExact) {
+        return Status(StatusCode::kInvalidOption,
+                      "fixed_range on a deep session is only supported by "
+                      "\"hebs-exact\" (policy is \"" +
+                          policy->entry.name + "\")");
+      }
       if (!is_hebs_policy()) {
         return Status(StatusCode::kInvalidOption,
                       "fixed_range is only supported by the hebs-* policies "
                       "(policy is \"" +
                           policy->entry.name + "\")");
       }
-      return to_frame_result(
-          core::hebs_at_range(img, request.fixed_range, hebs_opts, model));
+      return pipeline::Decide([fixed_range](pipeline::FrameContext& ctx) {
+        return ctx.at_range(fixed_range);
+      });
     }
+    if (deep() && !deep_capable_policy()) return unsupported_deep_policy();
+    const double d = d_max_percent;
     switch (policy->kind) {
       case PolicyKind::kHebsExact:
-        return to_frame_result(
-            core::hebs_exact(img, request.d_max_percent, hebs_opts, model));
+        return pipeline::Decide([d](pipeline::FrameContext& ctx) {
+          return pipeline::run_exact(ctx, d);
+        });
       case PolicyKind::kHebsCurve:
-        return to_frame_result(core::hebs_with_curve(
-            img, request.d_max_percent, ensure_curve(), hebs_opts, model));
-      case PolicyKind::kBbhe: {
-        pipeline::FrameContext ctx(img, hebs_opts, model);
-        return to_frame_result(
-            pipeline::run_bbhe(ctx, request.d_max_percent));
-      }
-      default:
-        return run_baseline(img, request.d_max_percent);
-    }
-  }
-
-  /// Deep-pixel twin of run_one: the same staged pipeline through a
-  /// FrameContext bound on the frame's own level lattice.
-  Expected<FrameResult> run_one16(const FrameRequest& request,
-                                  const hebs::image::GrayImage16& img) {
-    if (request.fixed_range > 0 && policy->kind != PolicyKind::kHebsExact) {
-      return Status(StatusCode::kInvalidOption,
-                    "fixed_range on a deep session is only supported by "
-                    "\"hebs-exact\" (policy is \"" +
-                        policy->entry.name + "\")");
-    }
-    pipeline::FrameContext ctx(img, hebs_opts, model);
-    if (request.fixed_range > 0) {
-      return to_frame_result(ctx.at_range(request.fixed_range));
-    }
-    switch (policy->kind) {
-      case PolicyKind::kHebsExact:
-        return to_frame_result(
-            pipeline::run_exact(ctx, request.d_max_percent));
+        return pipeline::Decide(
+            [d, &curve = ensure_curve()](pipeline::FrameContext& ctx) {
+              return pipeline::run_with_curve(ctx, d, curve);
+            });
       case PolicyKind::kBbhe:
-        return to_frame_result(
-            pipeline::run_bbhe(ctx, request.d_max_percent));
-      default:
-        return unsupported_deep_policy();
+        return pipeline::Decide([d](pipeline::FrameContext& ctx) {
+          return pipeline::run_bbhe(ctx, d);
+        });
+      case PolicyKind::kDls:
+        return baseline(
+            hebs::baseline::DlsPolicy(
+                hebs::baseline::DlsMode::kBrightnessCompensation,
+                hebs_opts.distortion, model),
+            d);
+      case PolicyKind::kDlsContrast:
+        return baseline(
+            hebs::baseline::DlsPolicy(
+                hebs::baseline::DlsMode::kContrastEnhancement,
+                hebs_opts.distortion, model),
+            d);
+      case PolicyKind::kCbcs:
+        return baseline(
+            hebs::baseline::CbcsPolicy({}, hebs_opts.distortion, model), d);
     }
+    return Status(StatusCode::kInternal,
+                  "policy \"" + policy->entry.name + "\" (kind " +
+                      std::to_string(static_cast<int>(policy->kind)) +
+                      ") has no decision");
   }
 
-  /// Deep-pixel arm of process_batch (views already validated and
-  /// depth-checked; policy already known deep-capable).  hebs-exact
-  /// fans out over the engine's pool exactly like the 8-bit batch;
-  /// bbhe loops serially over one reused context.
-  Expected<std::vector<FrameResult>> batch16(
-      const std::vector<ImageView>& frames, double d_max_percent) {
-    std::vector<hebs::image::GrayImage16> images;
-    images.reserve(frames.size());
+  /// A baseline's decision, shaped like a HEBS result so the FrameResult
+  /// stays field-for-field what a baseline reports: default target,
+  /// empty Φ, Λ = the chosen point's transform (baselines have no
+  /// GHE/PLC stages).
+  template <typename Policy>
+  static pipeline::Decide baseline(Policy chooser, double d_max_percent) {
+    return [chooser = std::move(chooser),
+            d_max_percent](pipeline::FrameContext& ctx) {
+      core::HebsResult r;
+      r.evaluation = core::evaluate_operating_point(
+          ctx.image(), chooser.choose(ctx.image(), d_max_percent),
+          ctx.power_model(), ctx.options().distortion);
+      r.point = r.evaluation.point;
+      r.lambda = r.point.luminance_transform;
+      return r;
+    };
+  }
+
+  /// The batch path behind process_batch (gray8 or gray16 views) and
+  /// process_batch_color (rgb8 views): views already validated.  Every
+  /// policy's frames fan out over the engine's pool under its per-frame
+  /// containment.
+  Expected<std::vector<FrameResult>> run_batch(
+      const std::vector<ImageView>& frames, double d_max_percent,
+      bool color) {
+    auto decide = decision(d_max_percent, /*fixed_range=*/0);
+    if (!decide) return decide.status();
+    std::vector<hebs::image::GrayImage> gray;
+    std::vector<hebs::image::GrayImage16> gray16;
+    std::vector<hebs::image::RgbImage> rgb;
     for (std::size_t i = 0; i < frames.size(); ++i) {
-      try {
-        images.push_back(api::materialize_gray16(frames[i], levels()));
-      } catch (const util::InvalidArgument& e) {
-        return Status(StatusCode::kInvalidImage,
-                      "frame " + std::to_string(i) + ": " + e.what());
+      if (color) {
+        rgb.push_back(api::materialize_rgb(frames[i]));
+      } else if (!deep()) {
+        gray.push_back(api::materialize_gray(frames[i]));
+      } else {
+        try {
+          gray16.push_back(api::materialize_gray16(frames[i], levels()));
+        } catch (const util::InvalidArgument& e) {
+          return Status(StatusCode::kInvalidImage,
+                        "frame " + std::to_string(i) + ": " + e.what());
+        }
       }
     }
+    const pipeline::FrameSource source =
+        color ? pipeline::FrameSource(rgb, color_mode)
+              : deep() ? pipeline::FrameSource(gray16)
+                       : pipeline::FrameSource(gray);
+    std::vector<pipeline::FrameFault> faults;
+    auto results = engine.run_batch(source, *decide, &faults);
     std::vector<FrameResult> out;
-    out.reserve(images.size());
-    if (policy->kind == PolicyKind::kHebsExact) {
-      std::vector<pipeline::FrameFault> faults;
-      for (auto& r : engine.process_batch16(images, d_max_percent, &faults)) {
-        out.push_back(to_frame_result(r));
-        fill_fault(faults[out.size() - 1], out.back());
+    out.reserve(results.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      out.push_back(to_frame_result(results[i].decision));
+      if (color) {
+        fill_color(results[i].color.displayed, results[i].color.hue_error,
+                   out.back());
       }
-      return out;
-    }
-    pipeline::FrameContext ctx(hebs_opts, model);
-    for (const auto& img : images) {
-      ctx.rebind(img);
-      out.push_back(to_frame_result(pipeline::run_bbhe(ctx, d_max_percent)));
+      fill_fault(faults[i], out.back());
     }
     return out;
   }
 
-  /// Post-decision color stage for the serial facade paths: runs the
-  /// shared core::render_color on `result`'s operating point and
-  /// attaches the rendering + hue error to the result.  `luma` is the
-  /// decision-side raster (rgb.to_luma()), reused by the luma-ratio
-  /// rendering.
-  void render_color(const hebs::image::RgbImage& rgb,
-                    const hebs::image::GrayImage& luma, FrameResult& result) {
-    const core::ColorRendering rendering =
-        core::render_color(rgb, luma, point_of(result), color_mode);
-    fill_color(rendering.displayed, rendering.hue_error, result);
+  /// The video path behind process_video (gray8 views) and
+  /// process_video_color (rgb8 views): views already validated, policy
+  /// already known to be hebs-exact (the stream runs the controller's
+  /// per-frame exact search).
+  std::vector<VideoFrameResult> run_video(const std::vector<ImageView>& frames,
+                                          double d_max_percent, bool color) {
+    std::vector<hebs::image::GrayImage> gray;
+    std::vector<hebs::image::RgbImage> rgb;
+    for (const ImageView& view : frames) {
+      if (color) {
+        rgb.push_back(api::materialize_rgb(view));
+      } else {
+        gray.push_back(api::materialize_gray(view));
+      }
+    }
+    core::VideoBacklightController controller(
+        make_video_options(d_max_percent), model);
+    std::vector<pipeline::FrameFault> faults;
+    const auto results = engine.run_stream(
+        color ? pipeline::FrameSource(rgb, color_mode)
+              : pipeline::FrameSource(gray),
+        controller, &faults);
+    std::vector<VideoFrameResult> out;
+    out.reserve(results.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      const core::FrameDecision& d = results[i].decision;
+      out.push_back({d.raw_beta, d.beta, d.scene_cut, to_frame_result(d)});
+      if (color) {
+        fill_color(results[i].color.displayed, results[i].color.hue_error,
+                   out.back().frame);
+      }
+      fill_fault(faults[i], out.back().frame);
+    }
+    return out;
+  }
+
+  /// The typed gate both video entry points share: 8-bit sessions and
+  /// the hebs-exact policy only.
+  Status check_video() const {
+    if (deep()) {
+      return Status(StatusCode::kInvalidOption,
+                    "video processing is not supported on deep-pixel "
+                    "sessions (bit_depth " +
+                        std::to_string(cfg.bit_depth()) + ")");
+    }
+    if (policy->kind != PolicyKind::kHebsExact) {
+      return Status(StatusCode::kInvalidOption,
+                    "video processing runs the per-frame exact search and "
+                    "requires policy \"hebs-exact\" (policy is \"" +
+                        cfg.policy() + "\")");
+    }
+    return Status();
   }
 };
 
@@ -684,42 +712,48 @@ Expected<FrameResult> Session::process(const FrameRequest& request) {
     // own counter-delta breakdown (hebs/frame.h).
     const auto counters_before = obs::snapshot_counters();
     const auto t0 = std::chrono::steady_clock::now();
-    const auto elapsed_ms = [&t0] {
-      return std::chrono::duration<double, std::milli>(
-                 std::chrono::steady_clock::now() - t0)
-          .count();
-    };
+    hebs::image::RgbImage rgb;
+    hebs::image::GrayImage gray;
+    hebs::image::GrayImage16 gray16;
+    // Serial and engine-free: the frame is decided on the calling thread
+    // through one local context, with no pool and no containment.
+    pipeline::FrameContext ctx(impl_->hebs_opts, impl_->model);
     if (request.color_output) {
       // The decision runs on BT.601 luma (same kernel as the gray
       // ingestion path, so it is bit-identical to processing the
       // pre-converted luma view); the color stage then renders the
       // decided operating point onto the RGB raster.
-      const hebs::image::RgbImage rgb = api::materialize_rgb(request.image);
-      const hebs::image::GrayImage luma = rgb.to_luma();
-      auto result = impl_->run_one(request, luma);
-      if (!result) return result.status();
-      impl_->render_color(rgb, luma, *result);
-      fill_breakdown(counters_before, elapsed_ms(), *result);
-      return result;
-    }
-    if (impl_->deep()) {
-      hebs::image::GrayImage16 img;
+      rgb = api::materialize_rgb(request.image);
+      gray = rgb.to_luma();
+      ctx.rebind(gray);
+    } else if (impl_->deep()) {
       try {
-        img = api::materialize_gray16(request.image, impl_->levels());
+        gray16 = api::materialize_gray16(request.image, impl_->levels());
       } catch (const util::InvalidArgument& e) {
         // A sample above the declared depth is the caller's frame, not
         // a library failure.
         return Status(StatusCode::kInvalidImage, e.what());
       }
-      auto result = impl_->run_one16(request, img);
-      if (!result) return result.status();
-      fill_breakdown(counters_before, elapsed_ms(), *result);
-      return result;
+      ctx.rebind(gray16);
+    } else {
+      gray = api::materialize_gray(request.image);
+      ctx.rebind(gray);
     }
-    const hebs::image::GrayImage img = api::materialize_gray(request.image);
-    auto result = impl_->run_one(request, img);
-    if (!result) return result.status();
-    fill_breakdown(counters_before, elapsed_ms(), *result);
+    auto decide =
+        impl_->decision(request.d_max_percent, request.fixed_range);
+    if (!decide) return decide.status();
+    const core::HebsResult decided = (*decide)(ctx);
+    FrameResult result = to_frame_result(decided);
+    if (request.color_output) {
+      const core::ColorRendering rendering =
+          core::render_color(rgb, gray, decided.point, impl_->color_mode);
+      fill_color(rendering.displayed, rendering.hue_error, result);
+    }
+    fill_breakdown(counters_before,
+                   std::chrono::duration<double, std::milli>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count(),
+                   result);
     return result;
   } catch (const std::exception& e) {
     return from_exception(e, "process: frame 0");
@@ -740,62 +774,12 @@ Expected<std::vector<FrameResult>> Session::process_batch(
                     "frame " + std::to_string(i) + ": " + s.message());
     }
   }
-  if (impl_->deep() && !impl_->deep_capable_policy()) {
-    return impl_->unsupported_deep_policy();
-  }
   try {
-    if (impl_->deep()) return impl_->batch16(frames, d_max_percent);
-    std::vector<hebs::image::GrayImage> images;
-    images.reserve(frames.size());
-    for (const ImageView& view : frames) {
-      images.push_back(api::materialize_gray(view));
-    }
-    std::vector<FrameResult> out;
-    out.reserve(images.size());
-    std::vector<pipeline::FrameFault> faults;
-    switch (impl_->policy->kind) {
-      case PolicyKind::kHebsExact:
-        for (auto& r :
-             impl_->engine.process_batch(images, d_max_percent, &faults)) {
-          out.push_back(to_frame_result(r));
-          fill_fault(faults[out.size() - 1], out.back());
-        }
-        break;
-      case PolicyKind::kHebsCurve:
-        for (auto& r : impl_->engine.process_batch_with_curve(
-                 images, d_max_percent, impl_->ensure_curve(), &faults)) {
-          out.push_back(to_frame_result(r));
-          fill_fault(faults[out.size() - 1], out.back());
-        }
-        break;
-      case PolicyKind::kBbhe: {
-        // BBHE's decision is cheap (no range search); a serial loop
-        // over one reused context keeps it allocation-friendly without
-        // engine fan-out.
-        pipeline::FrameContext ctx(impl_->hebs_opts, impl_->model);
-        for (const auto& img : images) {
-          ctx.rebind(img);
-          out.push_back(
-              to_frame_result(pipeline::run_bbhe(ctx, d_max_percent)));
-        }
-        break;
-      }
-      default:
-        // The engine's fan-out is HEBS-specific; the baselines' own grid
-        // and bisection searches run per image on the calling thread.
-        for (const auto& img : images) {
-          auto result = impl_->run_baseline(img, d_max_percent);
-          if (!result) return result.status();
-          out.push_back(std::move(*result));
-        }
-        break;
-    }
-    return out;
+    return impl_->run_batch(frames, d_max_percent, /*color=*/false);
   } catch (const std::exception& e) {
     return from_exception(e, "process_batch");
   }
 }
-
 
 Expected<std::vector<FrameResult>> Session::process_batch_color(
     const std::vector<ImageView>& frames, double d_max_percent) {
@@ -813,75 +797,7 @@ Expected<std::vector<FrameResult>> Session::process_batch_color(
     }
   }
   try {
-    std::vector<hebs::image::RgbImage> rgbs;
-    rgbs.reserve(frames.size());
-    for (const ImageView& view : frames) {
-      rgbs.push_back(api::materialize_rgb(view));
-    }
-    std::vector<FrameResult> out;
-    out.reserve(rgbs.size());
-    std::vector<pipeline::FrameFault> faults;
-    switch (impl_->policy->kind) {
-      case PolicyKind::kHebsExact:
-        // The engine runs the color stage on the worker that decided
-        // the frame, so batch color scales with the pool like gray
-        // batches.
-        for (auto& r : impl_->engine.process_batch_color(
-                 rgbs, d_max_percent, impl_->color_mode, &faults)) {
-          FrameResult fr = to_frame_result(r.luma);
-          fill_color(r.color.displayed, r.color.hue_error, fr);
-          fill_fault(faults[out.size()], fr);
-          out.push_back(std::move(fr));
-        }
-        break;
-      case PolicyKind::kHebsCurve: {
-        // Curve lookups fan out over the pool exactly like the gray
-        // batch path; the color rendering then runs serially on the
-        // calling thread (it does not yet scale with the pool the way
-        // the hebs-exact color batch does).
-        std::vector<hebs::image::GrayImage> lumas;
-        lumas.reserve(rgbs.size());
-        for (const auto& rgb : rgbs) lumas.push_back(rgb.to_luma());
-        auto results = impl_->engine.process_batch_with_curve(
-            lumas, d_max_percent, impl_->ensure_curve(), &faults);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-          FrameResult fr = to_frame_result(results[i]);
-          impl_->render_color(rgbs[i], lumas[i], fr);
-          fill_fault(faults[i], fr);
-          out.push_back(std::move(fr));
-        }
-        break;
-      }
-      case PolicyKind::kBbhe: {
-        // Serial like the gray bbhe batch; the color stage renders each
-        // decided operating point on the calling thread.
-        pipeline::FrameContext ctx(impl_->hebs_opts, impl_->model);
-        std::vector<hebs::image::GrayImage> lumas;
-        lumas.reserve(rgbs.size());
-        for (const auto& rgb : rgbs) lumas.push_back(rgb.to_luma());
-        for (std::size_t i = 0; i < rgbs.size(); ++i) {
-          ctx.rebind(lumas[i]);
-          FrameResult fr =
-              to_frame_result(pipeline::run_bbhe(ctx, d_max_percent));
-          impl_->render_color(rgbs[i], lumas[i], fr);
-          out.push_back(std::move(fr));
-        }
-        break;
-      }
-      default:
-        // The baselines' own grid and bisection searches run per image
-        // on the calling thread (as in process_batch); the color stage
-        // follows each decision.
-        for (const auto& rgb : rgbs) {
-          const hebs::image::GrayImage luma = rgb.to_luma();
-          auto result = impl_->run_baseline(luma, d_max_percent);
-          if (!result) return result.status();
-          impl_->render_color(rgb, luma, *result);
-          out.push_back(std::move(*result));
-        }
-        break;
-    }
-    return out;
+    return impl_->run_batch(frames, d_max_percent, /*color=*/true);
   } catch (const std::exception& e) {
     return from_exception(e, "process_batch_color");
   }
@@ -890,18 +806,7 @@ Expected<std::vector<FrameResult>> Session::process_batch_color(
 Expected<std::vector<VideoFrameResult>> Session::process_video(
     const std::vector<ImageView>& frames, double d_max_percent) {
   if (Status s = check_budget(d_max_percent); !s.ok()) return s;
-  if (impl_->deep()) {
-    return Status(StatusCode::kInvalidOption,
-                  "video processing is not supported on deep-pixel sessions "
-                  "(bit_depth " +
-                      std::to_string(impl_->cfg.bit_depth()) + ")");
-  }
-  if (impl_->policy->kind != PolicyKind::kHebsExact) {
-    return Status(StatusCode::kInvalidOption,
-                  "video processing runs the per-frame exact search and "
-                  "requires policy \"hebs-exact\" (policy is \"" +
-                      impl_->cfg.policy() + "\")");
-  }
+  if (Status s = impl_->check_video(); !s.ok()) return s;
   for (std::size_t i = 0; i < frames.size(); ++i) {
     if (Status s = frames[i].validate(); !s.ok()) {
       return Status(s.code(),
@@ -914,22 +819,7 @@ Expected<std::vector<VideoFrameResult>> Session::process_video(
     }
   }
   try {
-    std::vector<hebs::image::GrayImage> images;
-    images.reserve(frames.size());
-    for (const ImageView& view : frames) {
-      images.push_back(api::materialize_gray(view));
-    }
-    std::vector<pipeline::FrameFault> faults;
-    const auto decisions = impl_->engine.process_stream(
-        images, impl_->make_video_options(d_max_percent), &faults);
-    std::vector<VideoFrameResult> out;
-    out.reserve(decisions.size());
-    for (std::size_t i = 0; i < decisions.size(); ++i) {
-      const auto& d = decisions[i];
-      out.push_back({d.raw_beta, d.beta, d.scene_cut, to_frame_result(d)});
-      fill_fault(faults[i], out.back().frame);
-    }
-    return out;
+    return impl_->run_video(frames, d_max_percent, /*color=*/false);
   } catch (const std::exception& e) {
     return from_exception(e, "process_video");
   }
@@ -938,18 +828,7 @@ Expected<std::vector<VideoFrameResult>> Session::process_video(
 Expected<std::vector<VideoFrameResult>> Session::process_video_color(
     const std::vector<ImageView>& frames, double d_max_percent) {
   if (Status s = check_budget(d_max_percent); !s.ok()) return s;
-  if (impl_->deep()) {
-    return Status(StatusCode::kInvalidOption,
-                  "video processing is not supported on deep-pixel sessions "
-                  "(bit_depth " +
-                      std::to_string(impl_->cfg.bit_depth()) + ")");
-  }
-  if (impl_->policy->kind != PolicyKind::kHebsExact) {
-    return Status(StatusCode::kInvalidOption,
-                  "video processing runs the per-frame exact search and "
-                  "requires policy \"hebs-exact\" (policy is \"" +
-                      impl_->cfg.policy() + "\")");
-  }
+  if (Status s = impl_->check_video(); !s.ok()) return s;
   for (std::size_t i = 0; i < frames.size(); ++i) {
     if (Status s = require_rgb8(frames[i], "process_video_color"); !s.ok()) {
       return Status(s.code(),
@@ -957,26 +836,7 @@ Expected<std::vector<VideoFrameResult>> Session::process_video_color(
     }
   }
   try {
-    std::vector<hebs::image::RgbImage> rgbs;
-    rgbs.reserve(frames.size());
-    for (const ImageView& view : frames) {
-      rgbs.push_back(api::materialize_rgb(view));
-    }
-    std::vector<pipeline::FrameFault> faults;
-    const auto results = impl_->engine.process_stream_color(
-        rgbs, impl_->make_video_options(d_max_percent), impl_->color_mode,
-        &faults);
-    std::vector<VideoFrameResult> out;
-    out.reserve(results.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const auto& r = results[i];
-      VideoFrameResult v{r.decision.raw_beta, r.decision.beta,
-                         r.decision.scene_cut, to_frame_result(r.decision)};
-      fill_color(r.color.displayed, r.color.hue_error, v.frame);
-      fill_fault(faults[i], v.frame);
-      out.push_back(std::move(v));
-    }
-    return out;
+    return impl_->run_video(frames, d_max_percent, /*color=*/true);
   } catch (const std::exception& e) {
     return from_exception(e, "process_video_color");
   }

@@ -114,7 +114,13 @@ std::vector<FrameDecision> VideoBacklightController::process_clip(
   engine_opts.use_buffer_pool = opts_.use_buffer_pool;
   engine_opts.frame_deadline_us = opts_.frame_deadline_us;
   hebs::pipeline::PipelineEngine engine(engine_opts, power_model_);
-  return engine.process_stream(frames, *this);
+  std::vector<FrameDecision> decisions;
+  decisions.reserve(frames.size());
+  for (auto& r :
+       engine.run_stream(hebs::pipeline::FrameSource(frames), *this)) {
+    decisions.push_back(std::move(r.decision));
+  }
+  return decisions;
 }
 
 double VideoBacklightController::max_flicker_step(

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/distortion_curve.h"
 #include "obs/counters.h"
 #include "obs/trace.h"
 #include "pipeline/stages.h"
@@ -29,7 +28,7 @@ namespace {
 std::unique_ptr<util::BufferPool> make_pool(const EngineOptions& opts) {
   if (!opts.use_buffer_pool) return nullptr;  // null scope = plain heap
   return std::make_unique<util::BufferPool>(
-      util::PoolOptions{opts.pool_max_retained_bytes, opts.pool_max_bytes});
+      util::PoolOptions{opts.pool_max_bytes, opts.pool_max_bytes});
 }
 
 // ---- fault containment helpers (DESIGN.md §14) ------------------------
@@ -80,11 +79,10 @@ std::string deadline_message(const char* stage, std::size_t frame,
          " us exceeded; identity fallback emitted";
 }
 
-void record_fault(std::vector<FrameFault>* faults, std::size_t i, bool io,
+void record_fault(std::vector<FrameFault>& faults, std::size_t i, bool io,
                   std::string message, bool deadline = false) {
   obs::add(obs::Counter::kFramesDegraded);
-  if (faults == nullptr) return;
-  FrameFault& f = (*faults)[i];
+  FrameFault& f = faults[i];
   f.degraded = true;
   f.io = io;
   f.deadline = deadline;
@@ -101,32 +99,92 @@ bool deadline_blown(const EngineOptions& opts,
              .count() > opts.frame_deadline_us;
 }
 
-/// Runs `per_frame` for every image on the pool, each worker reusing one
-/// rebound FrameContext drawing from its own recycling buffer pool.
-/// Results land at their frame's index, so output order never depends
-/// on scheduling.
+/// The caller's containment sink, or `local` when there is none; either
+/// way reset to one clean record per frame.  The engine always keeps the
+/// records: the stream's color stage reads them.
+std::vector<FrameFault>& fault_records(std::vector<FrameFault>* faults,
+                                       std::vector<FrameFault>& local,
+                                       std::size_t frames) {
+  std::vector<FrameFault>& records = faults != nullptr ? *faults : local;
+  records.clear();
+  records.resize(frames);
+  return records;
+}
+
+// ---- the color post-stage ---------------------------------------------
+
+/// The post-decision color stage (core::render_color) shaped into the
+/// engine's per-frame output type.
+ColorFrameOutput run_color_stage(const hebs::image::RgbImage& rgb,
+                                 const hebs::image::GrayImage& luma,
+                                 const core::OperatingPoint& point,
+                                 core::ColorMode mode) {
+  obs::ScopedSpan span(obs::Span::kColorRender);
+  core::ColorRendering rendering = core::render_color(rgb, luma, point, mode);
+  return {std::move(rendering.displayed), rendering.hue_error};
+}
+
+/// The rendering of a frame that carries the identity fallback: the
+/// unmodified input (β = 1 + identity LUT change no pixel, so the
+/// chromaticity drift is exactly zero).
+ColorFrameOutput unmodified(const hebs::image::RgbImage& rgb) {
+  return {rgb, 0.0};
+}
+
+/// The gray frames an engine call decides: the source's own gray8
+/// frames, or for an rgb8 source its BT.601 lumas, extracted up front
+/// into `lumas` so they outlive every context binding.
+std::span<const hebs::image::GrayImage> decided_frames(
+    const FrameSource& source, std::vector<hebs::image::GrayImage>& lumas) {
+  if (source.rgb.empty()) return source.gray;
+  lumas.reserve(source.rgb.size());
+  for (const auto& img : source.rgb) lumas.push_back(img.to_luma());
+  return lumas;
+}
+
+bool same_point(const core::OperatingPoint& a, const core::OperatingPoint& b) {
+  return a.beta == b.beta &&
+         a.luminance_transform.points() == b.luminance_transform.points();
+}
+
+bool same_bytes(const hebs::image::RgbImage& a,
+                const hebs::image::RgbImage& b) {
+  const auto da = a.data();
+  const auto db = b.data();
+  return da.size() == db.size() &&
+         std::memcmp(da.data(), db.data(), da.size()) == 0;
+}
+
+/// Runs `decide` (then, for an rgb8 source, the color stage) on every
+/// frame on the pool, each worker reusing one rebound FrameContext
+/// drawing from its own recycling buffer pool.  Results land at their
+/// frame's index, so output order never depends on scheduling.
 ///
 /// Containment: a frame whose work throws (or blows the frame deadline)
-/// lands `fallback(i)` at its index instead of failing the batch, and
-/// the worker's context is discarded — its memo state may be mid-update,
-/// and no later frame may read poisoned caches.  The next frame on that
-/// worker starts from a fresh context, so post-fault frames are
-/// bit-identical to a cold run.
-template <typename Result, typename Image, typename PerFrame,
-          typename Fallback>
-std::vector<Result> map_frames(ThreadPool& pool, const EngineOptions& opts,
-                               std::span<const Image> images,
-                               const hebs::power::LcdSubsystemPower& model,
-                               PerFrame&& per_frame, Fallback&& fallback,
-                               std::vector<FrameFault>* faults) {
-  if (faults != nullptr) {
-    faults->clear();
-    faults->resize(images.size());
-  }
-  std::vector<Result> results(images.size());
+/// lands the identity fallback at its index instead of failing the
+/// batch, and the worker's context is discarded — its memo state may be
+/// mid-update, and no later frame may read poisoned caches.  The next
+/// frame on that worker starts from a fresh context, so post-fault
+/// frames are bit-identical to a cold run.
+template <typename Image>
+std::vector<BatchResult> map_frames(ThreadPool& pool, const EngineOptions& opts,
+                                    const hebs::power::LcdSubsystemPower& model,
+                                    std::span<const Image> images,
+                                    const FrameSource& source,
+                                    const Decide& decide,
+                                    std::vector<FrameFault>& faults) {
+  std::vector<BatchResult> results(images.size());
+  const auto fallback = [&](std::size_t i) {
+    // The SuppressScope keeps a persistent injected fault from
+    // re-firing inside the handler.
+    util::fault::SuppressScope no_refire;
+    BatchResult& r = results[i];
+    r.decision = identity_fallback(images[i]);
+    r.color = source.rgb.empty() ? ColorFrameOutput{}
+                                 : unmodified(source.rgb[i]);
+  };
   // The per-frame containment body, shared by the inline single-frame
-  // path and the fan-out.  The SuppressScope around the fallback keeps
-  // a persistent injected fault from re-firing inside the handler.
+  // path and the fan-out.
   const auto run_contained = [&](std::unique_ptr<FrameContext>& ctx,
                                  std::size_t i) {
     const auto start = DeadlineClock::now();
@@ -134,7 +192,12 @@ std::vector<Result> map_frames(ThreadPool& pool, const EngineOptions& opts,
       util::fault::maybe_fail(util::fault::Point::kWorkerTask);
       if (!ctx) ctx = std::make_unique<FrameContext>(opts.hebs, model);
       ctx->rebind(images[i]);
-      results[i] = per_frame(*ctx, i);
+      BatchResult& r = results[i];
+      r.decision = decide(*ctx);
+      if (!source.rgb.empty()) {
+        r.color = run_color_stage(source.rgb[i], ctx->image(),
+                                  r.decision.point, source.mode);
+      }
     } catch (const util::InvalidArgument&) {
       // Precondition violations are caller bugs, not runtime faults:
       // degrading would hide them, so they propagate out of the batch
@@ -142,16 +205,14 @@ std::vector<Result> map_frames(ThreadPool& pool, const EngineOptions& opts,
       throw;
     } catch (const std::exception& e) {
       ctx.reset();  // quarantine
-      util::fault::SuppressScope no_refire;
-      results[i] = fallback(i);
+      fallback(i);
       record_fault(faults, i, is_io_error(e),
                    fault_message("search", i, e.what()));
       return;
     }
     if (deadline_blown(opts, start)) {
       obs::add(obs::Counter::kDeadlineMiss);
-      util::fault::SuppressScope no_refire;
-      results[i] = fallback(i);
+      fallback(i);
       record_fault(faults, i, /*io=*/false,
                    deadline_message("search", i, opts.frame_deadline_us),
                    /*deadline=*/true);
@@ -189,88 +250,33 @@ std::vector<Result> map_frames(ThreadPool& pool, const EngineOptions& opts,
 
 }  // namespace
 
-std::vector<core::HebsResult> PipelineEngine::process_batch(
-    std::span<const hebs::image::GrayImage> images, double d_max_percent,
+std::vector<BatchResult> PipelineEngine::run_batch(
+    const FrameSource& source, const Decide& decide,
     std::vector<FrameFault>* faults) {
-  return map_frames<core::HebsResult>(
-      pool_, opts_, images, model_,
-      [d_max_percent](FrameContext& ctx, std::size_t) {
-        return run_exact(ctx, d_max_percent);
-      },
-      [&images](std::size_t i) { return identity_fallback(images[i]); },
-      faults);
+  std::vector<FrameFault> local;
+  if (!source.gray16.empty()) {
+    return map_frames(pool_, opts_, model_, source.gray16, source, decide,
+                      fault_records(faults, local, source.gray16.size()));
+  }
+  std::vector<hebs::image::GrayImage> lumas;
+  const auto frames = decided_frames(source, lumas);
+  return map_frames(pool_, opts_, model_, frames, source, decide,
+                    fault_records(faults, local, frames.size()));
 }
 
-std::vector<core::HebsResult> PipelineEngine::process_batch_at_range(
-    std::span<const hebs::image::GrayImage> images, int range,
+std::vector<StreamResult> PipelineEngine::run_stream(
+    const FrameSource& source, core::VideoBacklightController& controller,
     std::vector<FrameFault>* faults) {
-  return map_frames<core::HebsResult>(
-      pool_, opts_, images, model_,
-      [range](FrameContext& ctx, std::size_t) {
-        return ctx.at_range(range);
-      },
-      [&images](std::size_t i) { return identity_fallback(images[i]); },
-      faults);
-}
-
-std::vector<core::HebsResult> PipelineEngine::process_batch_with_curve(
-    std::span<const hebs::image::GrayImage> images, double d_max_percent,
-    const core::DistortionCurve& curve, std::vector<FrameFault>* faults) {
-  return map_frames<core::HebsResult>(
-      pool_, opts_, images, model_,
-      [d_max_percent, &curve](FrameContext& ctx, std::size_t) {
-        return run_with_curve(ctx, d_max_percent, curve);
-      },
-      [&images](std::size_t i) { return identity_fallback(images[i]); },
-      faults);
-}
-
-std::vector<core::HebsResult> PipelineEngine::process_batch16(
-    std::span<const hebs::image::GrayImage16> images, double d_max_percent,
-    std::vector<FrameFault>* faults) {
-  return map_frames<core::HebsResult>(
-      pool_, opts_, images, model_,
-      [d_max_percent](FrameContext& ctx, std::size_t) {
-        return run_exact(ctx, d_max_percent);
-      },
-      [&images](std::size_t i) { return identity_fallback(images[i]); },
-      faults);
-}
-
-std::vector<core::HebsResult> PipelineEngine::process_batch_at_range16(
-    std::span<const hebs::image::GrayImage16> images, int range,
-    std::vector<FrameFault>* faults) {
-  return map_frames<core::HebsResult>(
-      pool_, opts_, images, model_,
-      [range](FrameContext& ctx, std::size_t) {
-        return ctx.at_range(range);
-      },
-      [&images](std::size_t i) { return identity_fallback(images[i]); },
-      faults);
-}
-
-std::vector<core::FrameDecision> PipelineEngine::process_stream(
-    std::span<const hebs::image::GrayImage> frames,
-    core::VideoBacklightController& controller,
-    std::vector<FrameFault>* faults) {
+  if (!source.gray16.empty()) {
+    throw util::InvalidArgument(
+        "stream mode takes gray8 or rgb8 frames, not gray16");
+  }
   const core::VideoOptions& vopts = controller.options();
-  if (faults != nullptr) {
-    faults->clear();
-    faults->resize(frames.size());
-  }
-
-  // Optional sampling front end: estimate per-frame histograms with the
-  // decimating estimator.  Ingestion is ordered (the estimator is
-  // stateful), so snapshots are taken serially up front.
-  std::vector<hebs::histogram::Histogram> estimates;
-  if (opts_.use_streaming_histogram) {
-    hebs::histogram::StreamingHistogram estimator(opts_.streaming);
-    estimates.reserve(frames.size());
-    for (const auto& frame : frames) {
-      estimator.ingest(frame);
-      estimates.push_back(estimator.estimate());
-    }
-  }
+  std::vector<hebs::image::GrayImage> lumas;
+  const auto frames = decided_frames(source, lumas);
+  std::vector<FrameFault> local;
+  std::vector<FrameFault>& records =
+      fault_records(faults, local, frames.size());
 
   // The clip is processed in rounds of `slots` frames: the per-frame
   // searches run on the pool, then the ordered post-stage consumes the
@@ -283,8 +289,6 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
   // Round boundaries cannot change any value: per-frame raw searches
   // are independent (temporal reuse is verified, see temporal.h), and
   // flicker control consumes them in frame order either way.
-  const bool temporal =
-      opts_.temporal_reuse && !opts_.use_streaming_histogram;
   const auto threads = static_cast<std::size_t>(pool_.thread_count());
   const std::size_t slots = std::max<std::size_t>(
       1, std::min(frames.size(), threads == 1 ? 1 : 2 * threads));
@@ -294,23 +298,21 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
     std::unique_ptr<FrameContext> ctx;
     TemporalReuse reuse;
     core::HebsResult raw;
-    Slot(const EngineOptions& opts, bool temporal_on)
-        : pool(make_pool(opts)), reuse(slot_reuse_options(temporal_on)) {}
+    Slot(const EngineOptions& opts)
+        : pool(make_pool(opts)), reuse(slot_reuse_options(opts)) {}
 
-    static TemporalOptions slot_reuse_options(bool temporal_on) {
+    static TemporalOptions slot_reuse_options(const EngineOptions& opts) {
       TemporalOptions t;  // delta threshold keeps its one default
-      t.enabled = temporal_on;
+      t.enabled = opts.temporal_reuse;
       return t;
     }
   };
   std::vector<Slot> slot_states;
   slot_states.reserve(slots);
-  for (std::size_t k = 0; k < slots; ++k) {
-    slot_states.emplace_back(opts_, temporal);
-  }
+  for (std::size_t k = 0; k < slots; ++k) slot_states.emplace_back(opts_);
 
-  std::vector<core::FrameDecision> decisions;
-  decisions.reserve(frames.size());
+  std::vector<StreamResult> out;
+  out.reserve(frames.size());
 
   // Per-round containment flags: degraded[k] marks slot k's frame of
   // the current round as carrying the identity fallback.  Written by
@@ -345,15 +347,9 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
             s.ctx = std::make_unique<FrameContext>(vopts.hebs,
                                                    controller.power_model());
           }
-          if (!estimates.empty()) {
-            s.ctx->rebind(frames[i]);
-            s.ctx->set_histogram_estimate(estimates[i]);
-            s.raw = run_exact(*s.ctx, vopts.d_max_percent);
-          } else {
-            // TemporalReuse handles both modes: disabled, it degrades to
-            // rebind + run_exact (the cold path).
-            s.raw = s.reuse.process(*s.ctx, frames[i], vopts.d_max_percent);
-          }
+          // TemporalReuse handles both modes: disabled, it degrades to
+          // rebind + run_exact (the cold path).
+          s.raw = s.reuse.process(*s.ctx, frames[i], vopts.d_max_percent);
         } catch (const util::InvalidArgument&) {
           throw;  // caller bug, not a runtime fault — see map_frames
         } catch (const std::exception& e) {
@@ -361,7 +357,7 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
           util::fault::SuppressScope no_refire;
           s.raw = identity_fallback(frames[i]);
           degraded[k] = 1;
-          record_fault(faults, i, is_io_error(e),
+          record_fault(records, i, is_io_error(e),
                        fault_message("stream search", i, e.what()));
           return;
         }
@@ -376,7 +372,7 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
           s.raw = identity_fallback(frames[i]);
           degraded[k] = 1;
           record_fault(
-              faults, i, /*io=*/false,
+              records, i, /*io=*/false,
               deadline_message("stream search", i, opts_.frame_deadline_us),
               /*deadline=*/true);
         }
@@ -408,169 +404,75 @@ std::vector<core::FrameDecision> PipelineEngine::process_stream(
         // Containment path: copying the pooled fallback result must not
         // re-fire a persistent injected allocation fault.
         util::fault::SuppressScope no_refire;
-        decisions.push_back(controller.apply_degraded(s.raw));
+        out.push_back({controller.apply_degraded(s.raw), {}});
         continue;
       }
       try {
-        decisions.push_back(controller.apply_flicker_control(*s.ctx, s.raw));
+        out.push_back({controller.apply_flicker_control(*s.ctx, s.raw), {}});
       } catch (const util::InvalidArgument&) {
         throw;  // caller bug, not a runtime fault — see map_frames
       } catch (const std::exception& e) {
         quarantine(s);
         util::fault::SuppressScope no_refire;
         s.raw = identity_fallback(frames[i]);
-        decisions.push_back(controller.apply_degraded(s.raw));
-        record_fault(faults, i, is_io_error(e),
+        out.push_back({controller.apply_degraded(s.raw), {}});
+        record_fault(records, i, is_io_error(e),
                      fault_message("flicker post-stage", i, e.what()));
       }
     }
   }
   // Release pooled caches before their pools detach (see map_frames).
   slot_states.clear();
-  return decisions;
-}
 
-std::vector<core::FrameDecision> PipelineEngine::process_stream(
-    std::span<const hebs::image::GrayImage> frames,
-    const core::VideoOptions& opts, std::vector<FrameFault>* faults) {
-  core::VideoBacklightController controller(opts, model_);
-  return process_stream(frames, controller, faults);
-}
-
-namespace {
-
-/// The post-decision color stage (core::render_color) shaped into the
-/// engine's per-frame output type.
-ColorFrameOutput run_color_stage(const hebs::image::RgbImage& rgb,
-                                 const hebs::image::GrayImage& luma,
-                                 const core::OperatingPoint& point,
-                                 core::ColorMode mode) {
-  obs::ScopedSpan span(obs::Span::kColorRender);
-  core::ColorRendering rendering = core::render_color(rgb, luma, point, mode);
-  return {std::move(rendering.displayed), rendering.hue_error};
-}
-
-std::vector<hebs::image::GrayImage> materialize_lumas(
-    std::span<const hebs::image::RgbImage> images) {
-  std::vector<hebs::image::GrayImage> lumas;
-  lumas.reserve(images.size());
-  for (const auto& img : images) lumas.push_back(img.to_luma());
-  return lumas;
-}
-
-bool same_point(const core::OperatingPoint& a, const core::OperatingPoint& b) {
-  return a.beta == b.beta &&
-         a.luminance_transform.points() == b.luminance_transform.points();
-}
-
-bool same_bytes(const hebs::image::RgbImage& a,
-                const hebs::image::RgbImage& b) {
-  const auto da = a.data();
-  const auto db = b.data();
-  return da.size() == db.size() &&
-         std::memcmp(da.data(), db.data(), da.size()) == 0;
-}
-
-}  // namespace
-
-std::vector<ColorBatchResult> PipelineEngine::process_batch_color(
-    std::span<const hebs::image::RgbImage> images, double d_max_percent,
-    core::ColorMode mode, std::vector<FrameFault>* faults) {
-  // Luma extraction is ordered-independent but cheap (one dispatched
-  // kernel sweep per frame); done up front so the lumas outlive every
-  // context binding.
-  const auto lumas = materialize_lumas(images);
-  return map_frames<ColorBatchResult>(
-      pool_, opts_, std::span<const hebs::image::GrayImage>(lumas), model_,
-      [&images, &lumas, d_max_percent, mode](FrameContext& ctx,
-                                             std::size_t i) {
-        ColorBatchResult r;
-        r.luma = run_exact(ctx, d_max_percent);
-        r.color = run_color_stage(images[i], lumas[i], r.luma.point, mode);
-        return r;
-      },
-      [&images, &lumas](std::size_t i) {
-        // Degraded color frame: identity decision, and the displayed
-        // raster is the unmodified input (β = 1 + identity LUT changes
-        // no pixel, so the chromaticity drift is exactly zero).
-        ColorBatchResult r;
-        r.luma = identity_fallback(lumas[i]);
-        r.color.displayed = images[i];
-        r.color.hue_error = 0.0;
-        return r;
-      },
-      faults);
-}
-
-std::vector<ColorStreamResult> PipelineEngine::process_stream_color(
-    std::span<const hebs::image::RgbImage> frames,
-    const core::VideoOptions& opts, core::ColorMode mode,
-    std::vector<FrameFault>* faults) {
-  const auto lumas = materialize_lumas(frames);
-  // Containment records are needed locally even when the caller passed
-  // no sink: the color stage below must know which decisions carry the
-  // identity fallback (their slot rendering is the unmodified input)
-  // and which previous frames are ineligible as reuse sources.
-  std::vector<FrameFault> stream_faults;
-  auto decisions = process_stream(lumas, opts, &stream_faults);
-
-  // Ordered color post-stage.  Rendering is a deterministic function of
-  // (frame bytes, applied point, mode), so when both match the previous
-  // frame the previous rendering is reused wholesale — the color
-  // counterpart of the luma side's unchanged-frame fast path, and the
-  // reason a static RGB clip pays one memcpy instead of the per-pixel
-  // transform + chroma measurement per frame.
-  // No pool scope here: the stage's only allocations are the output
-  // rasters, which all escape into `out` — nothing would ever recycle.
-  std::vector<ColorStreamResult> out;
-  out.reserve(decisions.size());
-  for (std::size_t i = 0; i < decisions.size(); ++i) {
-    ColorStreamResult r;
-    r.decision = std::move(decisions[i]);
-    if (stream_faults[i].degraded) {
+  // Ordered color post-stage, once every decision is in.  Rendering is a
+  // deterministic function of (frame bytes, applied point, mode), so
+  // when both match the previous frame the previous rendering is reused
+  // wholesale — the color counterpart of the luma side's
+  // unchanged-frame fast path, and the reason a static RGB clip pays
+  // one memcpy instead of the per-pixel transform + chroma measurement
+  // per frame.  No pool scope here: the stage's only allocations are the
+  // output rasters, which all escape into `out` — nothing would ever
+  // recycle.
+  const auto& rgb = source.rgb;
+  for (std::size_t i = 0; i < rgb.size(); ++i) {
+    StreamResult& r = out[i];
+    if (records[i].degraded) {
       // The stream already emitted the identity decision for this
-      // frame; its rendering is the unmodified input (β = 1 + identity
-      // LUT change no pixel → zero chromaticity drift), no per-pixel
-      // work and no chance of a second fault in the color stage.
-      r.color.displayed = frames[i];
-      r.color.hue_error = 0.0;
-      out.push_back(std::move(r));
+      // frame: no per-pixel work and no chance of a second fault here.
+      r.color = unmodified(rgb[i]);
       continue;
     }
-    const bool reuse = opts.temporal_reuse && i > 0 &&
-                       !stream_faults[i - 1].degraded &&
-                       same_point(r.decision.point, out.back().decision.point) &&
-                       same_bytes(frames[i], frames[i - 1]);
+    const bool reuse = vopts.temporal_reuse && i > 0 &&
+                       !records[i - 1].degraded &&
+                       same_point(r.decision.point, out[i - 1].decision.point) &&
+                       same_bytes(rgb[i], rgb[i - 1]);
     if (reuse) {
-      r.color.displayed = out.back().color.displayed;
-      r.color.hue_error = out.back().color.hue_error;
-    } else {
-      try {
-        r.color = run_color_stage(frames[i], lumas[i], r.decision.point, mode);
-      } catch (const util::InvalidArgument&) {
-        throw;  // caller bug, not a runtime fault — see map_frames
-      } catch (const std::exception& e) {
-        // Color-stage containment: the whole frame degrades to the
-        // identity fallback — decision and rendering stay consistent
-        // (displaying the untouched raster at the computed β < 1 would
-        // dim the frame, which is a visible artifact, not a fallback).
-        // The stage is stateless per frame, so nothing needs quarantine.
-        util::fault::SuppressScope no_refire;
-        const core::HebsResult fb = identity_fallback(lumas[i]);
-        r.decision.raw_beta = fb.point.beta;
-        r.decision.beta = fb.point.beta;
-        r.decision.scene_cut = false;
-        r.decision.point = fb.point;
-        r.decision.evaluation = fb.evaluation;
-        r.color.displayed = frames[i];
-        r.color.hue_error = 0.0;
-        record_fault(&stream_faults, i, is_io_error(e),
-                     fault_message("color render", i, e.what()));
-      }
+      r.color = out[i - 1].color;
+      continue;
     }
-    out.push_back(std::move(r));
+    try {
+      r.color = run_color_stage(rgb[i], frames[i], r.decision.point,
+                                source.mode);
+    } catch (const util::InvalidArgument&) {
+      throw;  // caller bug, not a runtime fault — see map_frames
+    } catch (const std::exception& e) {
+      // Color-stage containment: the whole frame degrades to the
+      // identity fallback — decision and rendering stay consistent
+      // (displaying the untouched raster at the computed β < 1 would
+      // dim the frame, which is a visible artifact, not a fallback).
+      // The stage is stateless per frame, so nothing needs quarantine.
+      util::fault::SuppressScope no_refire;
+      const core::HebsResult fb = identity_fallback(frames[i]);
+      r.decision.raw_beta = fb.point.beta;
+      r.decision.beta = fb.point.beta;
+      r.decision.scene_cut = false;
+      r.decision.point = fb.point;
+      r.decision.evaluation = fb.evaluation;
+      r.color = unmodified(rgb[i]);
+      record_fault(records, i, is_io_error(e),
+                   fault_message("color render", i, e.what()));
+    }
   }
-  if (faults != nullptr) *faults = std::move(stream_faults);
   return out;
 }
 

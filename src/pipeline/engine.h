@@ -1,24 +1,33 @@
 // The pipeline engine: a thread-pool-backed batch/stream executor for
-// the staged HEBS pipeline.
+// the staged HEBS pipeline.  Two entry points, one per schedule:
+//
+//   run_batch(source, decide)       independent frames over the pool
+//   run_stream(source, controller)  a clip under ordered flicker control
+//
+// A FrameSource is a span of gray8, gray16 or rgb8 frames.  An rgb8
+// source is decided on each frame's BT.601 luma and gets the
+// post-decision color stage.  Containment, frame spans and pool scopes
+// are written once per schedule, so every source and every policy gets
+// the same fault and deadline handling (DESIGN.md §14).
 //
 // Batch mode (photo albums, characterization sweeps, table regeneration)
 // fans independent frames out over the pool; every worker owns one
 // FrameContext that it rebinds per frame, so frame-side caches are
-// reused without cross-thread sharing.  Results are written by frame
-// index — output order (and every computed bit) is independent of the
-// thread count.
+// reused without cross-thread sharing.  `decide` is the policy: any
+// per-frame decision over the bound context (the exact search, a fixed
+// range, the curve lookup, BBHE, a baseline).  Results are written by
+// frame index — output order (and every computed bit) is independent of
+// the thread count.
 //
 // Stream mode (video) splits each frame's work into the parallelizable
 // per-frame HEBS search and the inherently ordered flicker-control
 // post-stage: raw operating points are computed concurrently, then the
 // VideoBacklightController consumes them strictly in frame order,
-// producing exactly the decisions the serial controller makes.  A
-// decimated StreamingHistogram can optionally stand in for the exact
-// per-frame histogram, as a real video controller's sampling front end
-// would.
+// producing exactly the decisions the serial controller makes.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -26,13 +35,8 @@
 #include "core/color.h"
 #include "core/hebs.h"
 #include "core/video.h"
-#include "histogram/streaming.h"
 #include "pipeline/executor.h"
 #include "pipeline/frame_context.h"
-
-namespace hebs::core {
-class DistortionCurve;
-}
 
 namespace hebs::pipeline {
 
@@ -40,40 +44,30 @@ namespace hebs::pipeline {
 struct EngineOptions {
   /// Worker threads; <= 0 selects the hardware concurrency.
   int num_threads = 0;
-  /// Pipeline options applied by the batch entry points.  Stream mode
+  /// Pipeline options of the batch mode's FrameContexts.  Stream mode
   /// ignores this and uses the controller's VideoOptions::hebs instead
   /// (the controller defines the stream's semantics).
   core::HebsOptions hebs;
-  /// Stream mode: estimate per-frame histograms with a decimating
-  /// StreamingHistogram instead of touching every pixel.
-  bool use_streaming_histogram = false;
-  /// Estimator configuration when use_streaming_histogram is set.
-  hebs::histogram::StreamingOptions streaming;
   /// Per-worker recycling buffer pools: all per-frame scratch (rasters,
   /// integral tables, curves, memo nodes) recycles instead of hitting
   /// the heap — the engine's steady state allocates nothing per frame.
   /// Purely a performance knob; outputs are identical either way.
   bool use_buffer_pool = true;
-  /// Free-list retention cap per pool, in bytes (0 = unlimited; an
-  /// eviction inside the per-frame working set would reintroduce
-  /// steady-state allocations).
-  std::size_t pool_max_retained_bytes = 0;
   /// Stream mode: temporal-coherence fast path (duplicate-frame reuse,
   /// incremental histograms, warm-started searches).  Outputs are
   /// bit-identical to the cold path whenever measured distortion is
   /// monotone over the search interval (sub-0.1% quantization wiggles
   /// are the only exception; every decision honors the distortion
   /// budget either way — see DESIGN.md §9 and pipeline/temporal.h).
-  /// Disable for unconditional cold-path equality.  Ignored when
-  /// use_streaming_histogram is set (the stateful estimator makes
-  /// consecutive frames non-comparable).
+  /// Disable for unconditional cold-path equality.
   bool temporal_reuse = true;
-  /// Cap on bytes checked out of each per-worker pool at once; 0 =
-  /// unlimited.  Exhaustion degrades to counted plain-heap blocks
-  /// (obs kPoolHeapFallback) — it never fails a frame.
+  /// Byte cap of each per-worker pool, 0 = unlimited.  It bounds both
+  /// the free-list retention and the bytes checked out at once;
+  /// exhaustion degrades to counted plain-heap blocks (obs
+  /// kPoolHeapFallback) — it never fails a frame.
   std::size_t pool_max_bytes = 0;
   /// Soft per-frame deadline, microseconds; 0 = none.  A frame whose
-  /// decision (rebind + search; color batches include the color stage)
+  /// decision (rebind + decision; rgb8 batches include the color stage)
   /// takes longer still completes, but its result is replaced by the
   /// identity fallback (β = 1, identity LUT — zero distortion, zero
   /// saving) and kDeadlineMiss/kFramesDegraded count it.  Soft: the
@@ -81,6 +75,29 @@ struct EngineOptions {
   /// preempted.
   std::int64_t frame_deadline_us = 0;
 };
+
+/// The frames one engine call processes, viewed, not copied (the caller
+/// keeps them alive for the call): a span of gray8 frames, of gray16
+/// frames (each decided on its own level lattice; one depth per call),
+/// or of rgb8 frames with the ColorMode of their color stage.  An rgb8
+/// frame is decided on its BT.601 luma — bit-identical to deciding the
+/// pre-converted luma frame — and then rendered in `mode`.
+struct FrameSource {
+  FrameSource(std::span<const hebs::image::GrayImage> frames) : gray(frames) {}
+  FrameSource(std::span<const hebs::image::GrayImage16> frames)
+      : gray16(frames) {}
+  FrameSource(std::span<const hebs::image::RgbImage> frames,
+              core::ColorMode color_mode)
+      : rgb(frames), mode(color_mode) {}
+
+  std::span<const hebs::image::GrayImage> gray;
+  std::span<const hebs::image::GrayImage16> gray16;
+  std::span<const hebs::image::RgbImage> rgb;
+  core::ColorMode mode = core::ColorMode::kSharedCurve;
+};
+
+/// A per-frame policy decision over a context bound to the frame.
+using Decide = std::function<core::HebsResult(FrameContext&)>;
 
 /// Per-frame containment record, parallel to a batch/stream result
 /// vector (see the `faults` out-parameters below).  When a frame's
@@ -103,28 +120,28 @@ struct FrameFault {
   std::string message;
 };
 
-/// What the post-decision color stage produced for one frame.
+/// What the post-decision color stage produced for one rgb8 frame.
 struct ColorFrameOutput {
   /// The displayed RGB raster (the operating point applied per the
-  /// requested ColorMode).
+  /// source's ColorMode).
   hebs::image::RgbImage displayed;
   /// Chromaticity drift of `displayed` against the input frame.
   double hue_error = 0.0;
 };
 
-/// One color frame's decision + rendering (batch mode).
-struct ColorBatchResult {
-  /// The HEBS decision, computed on the frame's BT.601 luma — exactly
-  /// the result process_batch returns for the pre-converted luma.
-  core::HebsResult luma;
+/// One frame's batch output.
+struct BatchResult {
+  /// The policy's decision (on the frame's luma for an rgb8 source).
+  core::HebsResult decision;
+  /// The color stage's rendering; empty unless the source is rgb8.
   ColorFrameOutput color;
 };
 
-/// One color frame's decision + rendering (stream mode).
-struct ColorStreamResult {
-  /// The flicker-controlled decision, identical to process_stream on
-  /// the pre-converted luma clip.
+/// One frame's stream output.
+struct StreamResult {
+  /// The flicker-controlled decision (on the luma for an rgb8 source).
   core::FrameDecision decision;
+  /// The color stage's rendering; empty unless the source is rgb8.
   ColorFrameOutput color;
 };
 
@@ -137,85 +154,43 @@ class PipelineEngine {
   int thread_count() const noexcept { return pool_.thread_count(); }
   const EngineOptions& options() const noexcept { return opts_; }
 
-  /// Exact-search HEBS (the Table 1 protocol) for every image.
-  /// result[i] corresponds to images[i].
+  /// Runs `decide` on every frame of `source`; result[i] corresponds to
+  /// frame i.  For an rgb8 source the color stage renders each decided
+  /// operating point on the worker that decided it.  A one-frame batch
+  /// runs inline on the calling thread (no pool wake).
   ///
-  /// Fault containment (all batch/stream entry points): a frame whose
-  /// work throws — or misses opts.frame_deadline_us — yields the
-  /// identity fallback at its index rather than failing the call; when
-  /// `faults` is non-null it is resized to images.size() and frame i's
-  /// containment record lands at (*faults)[i].  Frames processed after
-  /// a contained fault are bit-identical to a cold run: the faulted
-  /// worker's FrameContext is discarded, never rebound.
-  std::vector<core::HebsResult> process_batch(
-      std::span<const hebs::image::GrayImage> images, double d_max_percent,
-      std::vector<FrameFault>* faults = nullptr);
+  /// Fault containment (both entry points): a frame whose work throws —
+  /// or misses opts.frame_deadline_us — yields the identity fallback at
+  /// its index rather than failing the call (an rgb8 frame's rendering
+  /// is then the unmodified input); when `faults` is non-null it is
+  /// resized to the frame count and frame i's containment record lands
+  /// at (*faults)[i].  Frames processed after a contained fault are
+  /// bit-identical to a cold run: the faulted worker's FrameContext is
+  /// discarded, never rebound.  util::InvalidArgument is a caller bug
+  /// and propagates out of the call instead.
+  std::vector<BatchResult> run_batch(const FrameSource& source,
+                                     const Decide& decide,
+                                     std::vector<FrameFault>* faults = nullptr);
 
-  /// Fixed-range HEBS for every image.
-  std::vector<core::HebsResult> process_batch_at_range(
-      std::span<const hebs::image::GrayImage> images, int range,
-      std::vector<FrameFault>* faults = nullptr);
-
-  /// Deep-pixel twin of process_batch: the same exact-search decision on
-  /// each frame's own level lattice (images[i].levels() histogram bins).
-  /// Mixed-depth batches are not supported — each call is one depth.
-  std::vector<core::HebsResult> process_batch16(
-      std::span<const hebs::image::GrayImage16> images, double d_max_percent,
-      std::vector<FrameFault>* faults = nullptr);
-
-  /// Deep-pixel twin of process_batch_at_range.
-  std::vector<core::HebsResult> process_batch_at_range16(
-      std::span<const hebs::image::GrayImage16> images, int range,
-      std::vector<FrameFault>* faults = nullptr);
-
-  /// Deployed flow for every image: range looked up from the distortion
-  /// characteristic curve, no metric in the decision loop.
-  std::vector<core::HebsResult> process_batch_with_curve(
-      std::span<const hebs::image::GrayImage> images, double d_max_percent,
-      const core::DistortionCurve& curve,
-      std::vector<FrameFault>* faults = nullptr);
-
-  /// Frame-adaptive video: per-frame raw operating points are searched
-  /// concurrently, then `controller` applies flicker control strictly in
-  /// frame order (its state advances exactly as if it had processed the
-  /// clip serially).
+  /// Frame-adaptive video over a gray8 or rgb8 source: per-frame raw
+  /// operating points are searched concurrently, then `controller`
+  /// applies flicker control strictly in frame order (its state
+  /// advances exactly as if it had processed the clip serially).  For
+  /// an rgb8 source the ordered color stage then renders each applied
+  /// operating point; with the controller's temporal_reuse it reuses
+  /// the previous frame's rendering when the input bytes and the applied
+  /// point are unchanged (outputs are identical either way).  A gray16
+  /// source throws util::InvalidArgument.
   ///
   /// Fault containment: a faulted frame emits the identity decision
   /// (β = 1, identity LUT) and is treated as a stream discontinuity —
   /// the slot's FrameContext and TemporalReuse state are quarantined
   /// (rebuilt cold) and the controller's flicker history resets, so
   /// every frame after the fault is bit-identical to a cold run started
-  /// there (DESIGN.md §14).
-  std::vector<core::FrameDecision> process_stream(
-      std::span<const hebs::image::GrayImage> frames,
-      core::VideoBacklightController& controller,
-      std::vector<FrameFault>* faults = nullptr);
-
-  /// Same, with a fresh controller built from `opts`.
-  std::vector<core::FrameDecision> process_stream(
-      std::span<const hebs::image::GrayImage> frames,
-      const core::VideoOptions& opts,
-      std::vector<FrameFault>* faults = nullptr);
-
-  /// Color batch: the exact-search decision runs on each frame's
-  /// BT.601 luma (bit-identical to process_batch on pre-converted
-  /// lumas), then the post-decision color stage applies the chosen
-  /// operating point to the RGB raster in `mode` on the same worker.
-  std::vector<ColorBatchResult> process_batch_color(
-      std::span<const hebs::image::RgbImage> images, double d_max_percent,
-      core::ColorMode mode, std::vector<FrameFault>* faults = nullptr);
-
-  /// Color stream: luma decisions through the full stream machinery
-  /// (flicker control, temporal fast path, pools — bit-identical to
-  /// process_stream on the pre-converted luma clip), then the ordered
-  /// color post-stage renders each applied operating point.  With
-  /// opts.temporal_reuse the stage reuses the previous frame's RGB
-  /// rendering when the input bytes and the applied point are
-  /// unchanged (static content skips the per-pixel work; outputs are
-  /// identical either way).
-  std::vector<ColorStreamResult> process_stream_color(
-      std::span<const hebs::image::RgbImage> frames,
-      const core::VideoOptions& opts, core::ColorMode mode,
+  /// there (DESIGN.md §14).  A fault in the color stage degrades that
+  /// frame's decision and rendering to the identity fallback.
+  std::vector<StreamResult> run_stream(
+      const FrameSource& source, core::VideoBacklightController& controller,
       std::vector<FrameFault>* faults = nullptr);
 
  private:

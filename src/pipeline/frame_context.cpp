@@ -35,7 +35,6 @@ FrameContext::FrameContext(const hebs::image::GrayImage16& image,
 }
 
 void FrameContext::clear_caches() {
-  estimate_.reset();
   exact_hist_.reset();
   evaluator_.reset();
   reference_power_.reset();
@@ -96,11 +95,6 @@ const hebs::image::GrayImage16& FrameContext::image16() const {
   return *image16_;
 }
 
-const hebs::histogram::Histogram& FrameContext::histogram() const {
-  if (estimate_.has_value()) return *estimate_;
-  return exact_histogram();
-}
-
 const hebs::histogram::Histogram& FrameContext::exact_histogram() const {
   if (!exact_hist_.has_value()) {
     // The full recount (delta-refreshed histograms arrive via
@@ -111,19 +105,6 @@ const hebs::histogram::Histogram& FrameContext::exact_histogram() const {
                       : hebs::histogram::Histogram::from_image(image());
   }
   return *exact_hist_;
-}
-
-void FrameContext::set_histogram_estimate(
-    hebs::histogram::Histogram estimate) {
-  HEBS_REQUIRE(!estimate.empty(), "histogram estimate is empty");
-  estimate_ = std::move(estimate);
-  // Statistics-driven products depend on the histogram; drop them.  The
-  // proxy raster itself depends only on pixels and stays, but the
-  // per-target coarse probes go through the GHE memo.
-  ghe_.clear();
-  by_range_.clear();
-  by_target_.clear();
-  approx_by_target_.clear();
 }
 
 const hebs::image::FloatImage& FrameContext::reference_luminance() const {

@@ -99,21 +99,16 @@ class FrameContext {
     return model_;
   }
 
-  /// Histogram the statistics-driven stages (range selection, GHE) use.
-  /// By default the exact image histogram; a streaming estimate may be
-  /// injected with set_histogram_estimate.
-  const hebs::histogram::Histogram& histogram() const;
-
-  /// Exact image histogram, regardless of any injected estimate.  Power
-  /// accounting and distortion evaluation always use this.
-  const hebs::histogram::Histogram& exact_histogram() const;
-
-  /// Injects an estimated histogram (e.g. from a StreamingHistogram) to
-  /// drive the statistics stages instead of the exact one.
-  void set_histogram_estimate(hebs::histogram::Histogram estimate);
-  bool has_histogram_estimate() const noexcept {
-    return estimate_.has_value();
+  /// Histogram the statistics-driven stages (range selection, GHE) use:
+  /// the exact image histogram.
+  const hebs::histogram::Histogram& histogram() const {
+    return exact_histogram();
   }
+
+  /// Exact image histogram (computed once per binding, or seeded with
+  /// set_exact_histogram).  Power accounting and distortion evaluation
+  /// use it too.
+  const hebs::histogram::Histogram& exact_histogram() const;
 
   /// Reference luminance raster of the unmodified frame (X/255).
   const hebs::image::FloatImage& reference_luminance() const;
@@ -206,7 +201,6 @@ class FrameContext {
   core::HebsOptions opts_;
   hebs::power::LcdSubsystemPower model_;
 
-  std::optional<hebs::histogram::Histogram> estimate_;
   mutable std::optional<hebs::histogram::Histogram> exact_hist_;
   mutable std::optional<hebs::quality::DistortionEvaluator> evaluator_;
   mutable std::optional<hebs::power::PowerBreakdown> reference_power_;

@@ -33,7 +33,7 @@ class Stage {
   virtual void run(const FrameContext& ctx, core::HebsResult& result) const = 0;
 };
 
-/// Warms the context's histogram (exact or injected estimate).
+/// Warms the context's exact histogram.
 class HistogramStage : public Stage {
  public:
   const char* name() const noexcept override { return "histogram"; }

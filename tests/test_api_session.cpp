@@ -175,17 +175,27 @@ TEST(SessionBitIdentity, BatchMatchesSerialProcess) {
 }
 
 TEST(SessionBitIdentity, BaselineBatchMatchesSerialProcess) {
-  auto session = make_session(SessionConfig().policy("dls"));
+  // Every non-search policy's batch fans out over the engine like
+  // hebs-exact; each frame must match the serial per-frame path.
+  std::vector<SessionConfig> configs = {SessionConfig().policy("dls")};
+  for (const char* policy : {"dls", "dls-contrast", "cbcs", "bbhe"}) {
+    configs.push_back(SessionConfig().policy(policy).threads(2));
+  }
   const auto images = seed_images(40);
   std::vector<ImageView> frames;
   for (const auto& img : images) frames.push_back(view_of(img));
-  auto batch = session.process_batch(frames, 10.0);
-  ASSERT_TRUE(batch.has_value()) << batch.status().to_string();
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    auto single = session.process({frames[i], 10.0});
-    ASSERT_TRUE(single.has_value());
-    EXPECT_EQ((*batch)[i].beta, single->beta);
-    EXPECT_EQ((*batch)[i].displayed, single->displayed);
+  for (const auto& config : configs) {
+    SCOPED_TRACE(config.policy() + " @ " + std::to_string(config.threads()) +
+                 " threads");
+    auto session = make_session(config);
+    auto batch = session.process_batch(frames, 10.0);
+    ASSERT_TRUE(batch.has_value()) << batch.status().to_string();
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      auto single = session.process({frames[i], 10.0});
+      ASSERT_TRUE(single.has_value());
+      EXPECT_EQ((*batch)[i].beta, single->beta);
+      EXPECT_EQ((*batch)[i].displayed, single->displayed);
+    }
   }
 }
 

@@ -13,7 +13,6 @@
 // tiny rasters, thread counts) and tier two on adversarial seeds.
 #include <gtest/gtest.h>
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -191,7 +190,13 @@ TEST(DecisionPath, EngineResultsIndependentOfThreadCount) {
     EngineOptions opts;
     opts.num_threads = threads;
     PipelineEngine engine(opts);
-    return engine.process_batch(std::span(frames.data(), frames.size()), 10.0);
+    std::vector<core::HebsResult> decisions;
+    for (auto& r : engine.run_batch(FrameSource(frames), [](FrameContext& ctx) {
+           return run_exact(ctx, 10.0);
+         })) {
+      decisions.push_back(std::move(r.decision));
+    }
+    return decisions;
   };
   const auto serial = run_engine(1);
   const auto parallel = run_engine(4);

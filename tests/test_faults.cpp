@@ -68,6 +68,38 @@ std::vector<RgbImage> small_rgb_album(int count, int size) {
   return images;
 }
 
+/// The exact-search decision at a distortion budget.
+Decide exact(double d_max_percent) {
+  return [d_max_percent](FrameContext& ctx) {
+    return run_exact(ctx, d_max_percent);
+  };
+}
+
+/// An exact-search gray batch through the engine's batch entry point;
+/// returns the decisions in frame order.
+std::vector<core::HebsResult> exact_batch(
+    PipelineEngine& engine, std::span<const GrayImage> images,
+    double d_max_percent, std::vector<FrameFault>* faults = nullptr) {
+  std::vector<core::HebsResult> out;
+  for (auto& r : engine.run_batch(images, exact(d_max_percent), faults)) {
+    out.push_back(std::move(r.decision));
+  }
+  return out;
+}
+
+/// A gray clip through the engine's stream entry point under a fresh
+/// controller built from `opts`; returns the decisions in frame order.
+std::vector<core::FrameDecision> stream(
+    PipelineEngine& engine, std::span<const GrayImage> frames,
+    const core::VideoOptions& opts, std::vector<FrameFault>* faults = nullptr) {
+  core::VideoBacklightController controller(opts, model());
+  std::vector<core::FrameDecision> out;
+  for (auto& r : engine.run_stream(frames, controller, faults)) {
+    out.push_back(std::move(r.decision));
+  }
+  return out;
+}
+
 void expect_same_result(const core::HebsResult& a, const core::HebsResult& b) {
   EXPECT_EQ(a.point.beta, b.point.beta);
   EXPECT_EQ(a.lambda.points(), b.lambda.points());
@@ -234,8 +266,8 @@ TEST_F(FaultMatrixTest, BatchContainsEveryPointAtEveryThreadCount) {
   const auto images = small_album(8, 48);
   EngineOptions clean_opts;
   clean_opts.num_threads = 1;
-  const auto reference =
-      PipelineEngine(clean_opts, model()).process_batch(images, 10.0);
+  PipelineEngine clean(clean_opts, model());
+  const auto reference = exact_batch(clean, images, 10.0);
 
   for (const ThrowingPoint& tp : kThrowingPoints) {
     for (int threads : {1, 2, 8}) {
@@ -251,7 +283,7 @@ TEST_F(FaultMatrixTest, BatchContainsEveryPointAtEveryThreadCount) {
       PipelineEngine engine(opts, model());
       std::vector<FrameFault> faults;
       std::vector<core::HebsResult> results;
-      ASSERT_NO_THROW(results = engine.process_batch(images, 10.0, &faults));
+      ASSERT_NO_THROW(results = exact_batch(engine, images, 10.0, &faults));
       fault::clear_all();  // nothing re-fires during verification
 
       ASSERT_EQ(results.size(), images.size());
@@ -293,7 +325,7 @@ TEST_F(FaultMatrixTest, SingleFrameInlinePathContains) {
   PipelineEngine engine(opts, model());
   std::vector<FrameFault> faults;
   std::vector<core::HebsResult> results;
-  ASSERT_NO_THROW(results = engine.process_batch(images, 10.0, &faults));
+  ASSERT_NO_THROW(results = exact_batch(engine, images, 10.0, &faults));
   ASSERT_EQ(results.size(), 1u);
   EXPECT_TRUE(faults[0].degraded);
   expect_identity(results[0], images[0]);
@@ -310,7 +342,7 @@ TEST_F(FaultMatrixTest, PersistentFaultDegradesEveryFrameWithoutEscaping) {
   PipelineEngine engine(opts, model());
   std::vector<FrameFault> faults;
   std::vector<core::HebsResult> results;
-  ASSERT_NO_THROW(results = engine.process_batch(images, 10.0, &faults));
+  ASSERT_NO_THROW(results = exact_batch(engine, images, 10.0, &faults));
   fault::clear_all();
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(faults[i].degraded);
@@ -329,9 +361,10 @@ TEST_F(FaultMatrixTest, BatchColorContains) {
     opts.num_threads = threads;
     PipelineEngine engine(opts, model());
     std::vector<FrameFault> faults;
-    std::vector<ColorBatchResult> results;
-    ASSERT_NO_THROW(results = engine.process_batch_color(
-                        images, 10.0, core::ColorMode::kSharedCurve, &faults));
+    std::vector<BatchResult> results;
+    ASSERT_NO_THROW(results = engine.run_batch(
+                        FrameSource(images, core::ColorMode::kSharedCurve),
+                        exact(10.0), &faults));
     fault::clear_all();
     ASSERT_EQ(results.size(), images.size());
     std::size_t degraded = 0;
@@ -340,7 +373,7 @@ TEST_F(FaultMatrixTest, BatchColorContains) {
       ++degraded;
       // Degraded color frame: identity decision and the unmodified
       // input as the displayed raster, zero chroma drift.
-      EXPECT_EQ(results[i].luma.point.beta, 1.0);
+      EXPECT_EQ(results[i].decision.point.beta, 1.0);
       expect_same_rgb(results[i].color.displayed, images[i]);
       EXPECT_EQ(results[i].color.hue_error, 0.0);
     }
@@ -372,7 +405,7 @@ TEST_F(FaultMatrixTest, StreamRecoveryBitIdenticalToColdRun) {
       std::vector<FrameFault> faults;
       std::vector<core::FrameDecision> decisions;
       ASSERT_NO_THROW(
-          decisions = engine.process_stream(frames, stream_opts, &faults));
+          decisions = stream(engine, frames, stream_opts, &faults));
       fault::clear_all();
 
       ASSERT_EQ(decisions.size(), frames.size());
@@ -399,8 +432,8 @@ TEST_F(FaultMatrixTest, StreamRecoveryBitIdenticalToColdRun) {
       ref_opts.temporal_reuse = false;
       core::VideoOptions ref_vopts = vopts;
       ref_vopts.num_threads = 1;
-      const auto ref = PipelineEngine(ref_opts, model())
-                           .process_stream(suffix, ref_vopts);
+      PipelineEngine ref_engine(ref_opts, model());
+      const auto ref = stream(ref_engine, suffix, ref_vopts);
       ASSERT_EQ(ref.size(), suffix.size());
       for (std::size_t j = 0; j < ref.size(); ++j) {
         SCOPED_TRACE("suffix frame " + std::to_string(j));
@@ -410,8 +443,7 @@ TEST_F(FaultMatrixTest, StreamRecoveryBitIdenticalToColdRun) {
       // round with it, never state): equal to a clean clip prefix.
       if (fault_at > 0) {
         const std::span<const GrayImage> prefix(frames.data(), fault_at);
-        const auto pre = PipelineEngine(ref_opts, model())
-                             .process_stream(prefix, ref_vopts);
+        const auto pre = stream(ref_engine, prefix, ref_vopts);
         for (std::size_t j = 0; j < pre.size(); ++j) {
           SCOPED_TRACE("prefix frame " + std::to_string(j));
           expect_same_decision(decisions[j], pre[j]);
@@ -438,7 +470,7 @@ TEST_F(FaultMatrixTest, StreamTemporalQuarantineRebuildsCleanly) {
   vopts.num_threads = 1;
   std::vector<FrameFault> faults;
   std::vector<core::FrameDecision> decisions;
-  ASSERT_NO_THROW(decisions = engine.process_stream(frames, vopts, &faults));
+  ASSERT_NO_THROW(decisions = stream(engine, frames, vopts, &faults));
   fault::clear_all();
 
   std::size_t fault_at = frames.size();
@@ -454,8 +486,8 @@ TEST_F(FaultMatrixTest, StreamTemporalQuarantineRebuildsCleanly) {
   EngineOptions ref_opts;
   ref_opts.num_threads = 1;
   ref_opts.temporal_reuse = false;
-  const auto ref =
-      PipelineEngine(ref_opts, model()).process_stream(suffix, ref_vopts);
+  PipelineEngine ref_engine(ref_opts, model());
+  const auto ref = stream(ref_engine, suffix, ref_vopts);
   for (std::size_t j = 0; j < ref.size(); ++j) {
     SCOPED_TRACE("suffix frame " + std::to_string(j));
     expect_same_decision(decisions[fault_at + 1 + j], ref[j]);
@@ -478,10 +510,11 @@ TEST_F(FaultMatrixTest, StreamColorContains) {
     core::VideoOptions stream_opts = vopts;
     stream_opts.num_threads = threads;
     std::vector<FrameFault> faults;
-    std::vector<ColorStreamResult> results;
-    ASSERT_NO_THROW(results = engine.process_stream_color(
-                        frames, stream_opts, core::ColorMode::kSharedCurve,
-                        &faults));
+    core::VideoBacklightController controller(stream_opts, model());
+    std::vector<StreamResult> results;
+    ASSERT_NO_THROW(results = engine.run_stream(
+                        FrameSource(frames, core::ColorMode::kSharedCurve),
+                        controller, &faults));
     fault::clear_all();
     ASSERT_EQ(results.size(), frames.size());
     std::size_t degraded = 0;
@@ -511,7 +544,7 @@ TEST_F(FaultMatrixTest, DeadlineMissDegradesBatchFrames) {
   const auto before = obs::snapshot_counters();
   std::vector<FrameFault> faults;
   std::vector<core::HebsResult> results;
-  ASSERT_NO_THROW(results = engine.process_batch(images, 10.0, &faults));
+  ASSERT_NO_THROW(results = exact_batch(engine, images, 10.0, &faults));
   fault::clear_all();
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_TRUE(faults[i].degraded);
@@ -540,7 +573,7 @@ TEST_F(FaultMatrixTest, DeadlineMissDegradesStreamFrames) {
   vopts.frame_deadline_us = 500;
   std::vector<FrameFault> faults;
   std::vector<core::FrameDecision> decisions;
-  ASSERT_NO_THROW(decisions = engine.process_stream(frames, vopts, &faults));
+  ASSERT_NO_THROW(decisions = stream(engine, frames, vopts, &faults));
   fault::clear_all();
   for (std::size_t i = 0; i < decisions.size(); ++i) {
     EXPECT_TRUE(faults[i].degraded);
@@ -556,13 +589,13 @@ TEST_F(FaultMatrixTest, NoDeadlineNoDegradation) {
   const auto images = small_album(4, 48);
   EngineOptions base;
   base.num_threads = 2;
-  const auto reference = PipelineEngine(base, model()).process_batch(
-      images, 10.0);
+  PipelineEngine base_engine(base, model());
+  const auto reference = exact_batch(base_engine, images, 10.0);
   EngineOptions opts = base;
   opts.frame_deadline_us = 60'000'000;  // one minute
   std::vector<FrameFault> faults;
-  const auto results =
-      PipelineEngine(opts, model()).process_batch(images, 10.0, &faults);
+  PipelineEngine engine(opts, model());
+  const auto results = exact_batch(engine, images, 10.0, &faults);
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_FALSE(faults[i].degraded);
     expect_same_result(results[i], reference[i]);
@@ -654,6 +687,41 @@ TEST_F(FaultFacadeTest, BatchReportsTypedPerFrameStatus) {
   // The fault block is part of the machine-readable dump.
   EXPECT_NE(stats.to_text().find("hebs_frames_degraded_total 1"),
             std::string::npos);
+}
+
+TEST_F(FaultFacadeTest, BbheBatchContainsAWorkerTaskFault) {
+  // bbhe batches run through the engine's containment like hebs-exact:
+  // a one-shot worker-task fault degrades exactly one frame, and every
+  // other frame matches the serial per-frame path bit for bit.
+  const auto images = small_album(4, 48);
+  auto session = hebs::Session::create(
+      hebs::SessionConfig().policy("bbhe").threads(2).fault_spec(
+          "worker-task"));
+  ASSERT_TRUE(session) << session.status().to_string();
+  const auto views = views_of(images);
+  auto results = session->process_batch(views, 10.0);
+  fault::clear_all();
+  ASSERT_TRUE(results) << results.status().to_string();
+  ASSERT_EQ(results->size(), images.size());
+  std::size_t degraded = 0;
+  for (std::size_t i = 0; i < results->size(); ++i) {
+    const hebs::FrameResult& r = (*results)[i];
+    if (r.degraded) {
+      ++degraded;
+      EXPECT_EQ(r.beta, 1.0);
+      EXPECT_EQ(r.status.code(), hebs::StatusCode::kInternal);
+      continue;
+    }
+    EXPECT_TRUE(r.status.ok());
+    auto single = session->process({views[i], 10.0});
+    ASSERT_TRUE(single) << single.status().to_string();
+    EXPECT_EQ(r.beta, single->beta) << "frame " << i;
+    EXPECT_EQ(r.distortion_percent, single->distortion_percent)
+        << "frame " << i;
+    EXPECT_EQ(r.saving_percent, single->saving_percent) << "frame " << i;
+    EXPECT_EQ(r.displayed, single->displayed) << "frame " << i;
+  }
+  EXPECT_EQ(degraded, 1u);
 }
 
 TEST_F(FaultFacadeTest, VideoDeadlineMissIsTypedDeadlineExceeded) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <span>
 #include <vector>
 
 #include "hebs/advanced/core.h"
@@ -33,6 +34,33 @@ std::vector<GrayImage> small_album(int count, int size) {
     images.push_back(hebs::image::make_usid(ids[i % 8], size));
   }
   return images;
+}
+
+/// The exact-search batch (the Table 1 protocol) through the engine's
+/// batch entry point; returns the decisions in frame order.
+std::vector<core::HebsResult> exact_batch(PipelineEngine& engine,
+                                          std::span<const GrayImage> images,
+                                          double d_max_percent) {
+  std::vector<core::HebsResult> out;
+  for (auto& r : engine.run_batch(images, [=](FrameContext& ctx) {
+         return run_exact(ctx, d_max_percent);
+       })) {
+    out.push_back(std::move(r.decision));
+  }
+  return out;
+}
+
+/// A clip through the engine's stream entry point under a fresh
+/// controller built from `opts`; returns the decisions in frame order.
+std::vector<core::FrameDecision> stream(PipelineEngine& engine,
+                                        std::span<const GrayImage> frames,
+                                        const core::VideoOptions& opts) {
+  core::VideoBacklightController controller(opts, model());
+  std::vector<core::FrameDecision> out;
+  for (auto& r : engine.run_stream(frames, controller)) {
+    out.push_back(std::move(r.decision));
+  }
+  return out;
 }
 
 void expect_same_result(const core::HebsResult& a, const core::HebsResult& b) {
@@ -90,7 +118,7 @@ TEST(Engine, BatchIsBitIdenticalToSerial) {
   EngineOptions opts;
   opts.num_threads = 2;
   PipelineEngine engine(opts, model());
-  const auto batch = engine.process_batch(images, 10.0);
+  const auto batch = exact_batch(engine, images, 10.0);
   ASSERT_EQ(batch.size(), images.size());
   for (std::size_t i = 0; i < images.size(); ++i) {
     expect_same_result(batch[i],
@@ -106,7 +134,7 @@ TEST(Engine, BatchInvariantAcrossThreadCounts) {
     opts.num_threads = threads;
     PipelineEngine engine(opts, model());
     EXPECT_EQ(engine.thread_count(), threads);
-    runs.push_back(engine.process_batch(images, 10.0));
+    runs.push_back(exact_batch(engine, images, 10.0));
   }
   for (std::size_t r = 1; r < runs.size(); ++r) {
     ASSERT_EQ(runs[r].size(), runs[0].size());
@@ -124,7 +152,7 @@ TEST(Engine, SingleFrameBatchNeverFansOut) {
   opts.num_threads = 4;
   PipelineEngine engine(opts, model());
   const auto before = obs::snapshot_counters();
-  const auto results = engine.process_batch(images, 10.0);
+  const auto results = exact_batch(engine, images, 10.0);
   const auto delta = obs::snapshot_counters().delta_since(before);
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(delta[obs::Counter::kParallelForCalls], 0u);
@@ -135,16 +163,18 @@ TEST(Engine, BatchAtRangeMatchesSerial) {
   EngineOptions opts;
   opts.num_threads = 2;
   PipelineEngine engine(opts, model());
-  const auto batch = engine.process_batch_at_range(images, 150);
+  const auto batch =
+      engine.run_batch(FrameSource(images),
+                       [](FrameContext& ctx) { return ctx.at_range(150); });
   for (std::size_t i = 0; i < images.size(); ++i) {
-    expect_same_result(batch[i],
+    expect_same_result(batch[i].decision,
                        core::hebs_at_range(images[i], 150, {}, model()));
   }
 }
 
 TEST(Engine, EmptyBatchReturnsEmpty) {
   PipelineEngine engine;
-  EXPECT_TRUE(engine.process_batch({}, 10.0).empty());
+  EXPECT_TRUE(exact_batch(engine, {}, 10.0).empty());
 }
 
 TEST(Engine, BatchPropagatesInvalidInput) {
@@ -153,7 +183,7 @@ TEST(Engine, BatchPropagatesInvalidInput) {
   EngineOptions opts;
   opts.num_threads = 2;
   PipelineEngine engine(opts, model());
-  EXPECT_THROW((void)engine.process_batch(images, 10.0),
+  EXPECT_THROW((void)exact_batch(engine, images, 10.0),
                hebs::util::InvalidArgument);
 }
 
@@ -176,7 +206,7 @@ TEST(EngineStream, MatchesSerialControllerBitForBit) {
   EngineOptions eopts;
   eopts.num_threads = 4;
   PipelineEngine engine(eopts, model());
-  const auto streamed = engine.process_stream(clip, fast_video_options(4));
+  const auto streamed = stream(engine, clip, fast_video_options(4));
 
   ASSERT_EQ(streamed.size(), expected.size());
   for (std::size_t i = 0; i < expected.size(); ++i) {
@@ -216,35 +246,10 @@ TEST(EngineStream, FlickerStaysRateLimited) {
   EngineOptions eopts;
   eopts.num_threads = 4;
   PipelineEngine engine(eopts, model());
-  const auto decisions = engine.process_stream(clip, opts);
+  const auto decisions = stream(engine, clip, opts);
   EXPECT_EQ(decisions.size(), clip.size());
   EXPECT_LE(core::VideoBacklightController::max_flicker_step(decisions),
             opts.max_beta_step + 1e-9);
-}
-
-TEST(EngineStream, StreamingHistogramModeHonorsBetaLimits) {
-  const auto clip = hebs::image::make_video_clip(10, 48);
-  const auto opts = fast_video_options(2);
-  EngineOptions eopts;
-  eopts.num_threads = 2;
-  eopts.use_streaming_histogram = true;
-  eopts.streaming.decimation = 4;
-  eopts.streaming.blend = 0.5;
-  PipelineEngine engine(eopts, model());
-  const auto decisions = engine.process_stream(clip, opts);
-  ASSERT_EQ(decisions.size(), clip.size());
-  EXPECT_LE(core::VideoBacklightController::max_flicker_step(decisions),
-            opts.max_beta_step + 1e-9);
-  for (const auto& d : decisions) {
-    EXPECT_GT(d.beta, 0.0);
-    EXPECT_LE(d.beta, 1.0);
-  }
-  // Deterministic: a second identical run reproduces every decision.
-  PipelineEngine engine2(eopts, model());
-  const auto again = engine2.process_stream(clip, opts);
-  for (std::size_t i = 0; i < decisions.size(); ++i) {
-    EXPECT_EQ(again[i].beta, decisions[i].beta);
-  }
 }
 
 }  // namespace
