@@ -2,10 +2,9 @@
 // compiled-in, CPU-supported backend against the scalar reference.
 //
 // Measures the per-pixel primitives the pipeline dispatches through
-// src/kernels/ (histogram accumulation, 8-bit/16-bit/f64 LUT apply,
-// BT.601 luma, byte/sample sums, elementwise f64 ops, blur
-// rows/columns) on a realistic synthetic frame, prints a speedup
-// table, verifies that
+// src/kernels/ (histogram accumulation, 8-bit/16-bit LUT apply, BT.601
+// luma, byte/sample sums, blur rows/columns) on realistic synthetic
+// frames, prints a speedup table, verifies that
 // every backend's output is bit-identical to scalar on the bench data,
 // and writes BENCH_kernels.json ({bench, config, ns_per_frame,
 // mpix_per_s, backend} records) for cross-PR perf tracking.
@@ -89,12 +88,13 @@ int main(int argc, char** argv) {
           std::to_string(size) + ", " + std::to_string(reps) + " reps)",
       "SIMD kernel subsystem: hot per-pixel primitives vs scalar");
 
-  // Bench data.  The content-sensitive kernels (histogram, 8-bit LUT)
-  // run over a three-frame mix — a dark flat frame, a smooth gradient
-  // and a textured photo — because that is what video content is made
-  // of, and the scalar loops' cost is content-dependent (same-bin
-  // store-forwarding chains on flat regions).  The remaining kernels
-  // use the photo frame.
+  // Bench data.  The content-sensitive kernels (histogram and LUT, at
+  // 8 and 16 bits) run over a three-frame mix — a dark flat frame, a
+  // smooth gradient and a textured photo — because that is what video
+  // content is made of, and the cost is content-dependent: the scalar
+  // loops hit same-bin store-forwarding chains on flat regions, which
+  // the vector versions' uniform-block paths skip.  The remaining
+  // kernels use the photo frame.
   const image::GrayImage frame = image::make_usid(image::UsidId::kLena, size);
   const image::GrayImage flat(size, size, 24);
   image::GrayImage gradient(size, size);
@@ -107,24 +107,22 @@ int main(int argc, char** argv) {
   const image::GrayImage* mix[3] = {&flat, &gradient, &frame};
   const image::RgbImage rgb = image::RgbImage::from_gray(frame);
   std::vector<double> fa(n);
-  std::vector<double> fb(n);
   for (std::size_t i = 0; i < n; ++i) {
     fa[i] = static_cast<double>(frame.pixels()[i]) / 255.0;
-    fb[i] = static_cast<double>(frame.pixels()[n - 1 - i]) / 255.0;
   }
   std::uint8_t lut8[256];
-  double lut64[256];
   for (int i = 0; i < 256; ++i) {
     lut8[i] = static_cast<std::uint8_t>((i * 150) / 255);
-    lut64[i] = static_cast<double>(i) / 255.0 * 0.8;
   }
 
-  // Deep-pixel bench data: the photo frame ratio-widened onto the
-  // 10-bit lattice (the depth the Session's deep path targets first),
-  // with the same backlight-scaling LUT shape.
+  // Deep-pixel bench data: the same mix ratio-widened onto the 10-bit
+  // lattice (the depth the Session's deep path targets first), with the
+  // same backlight-scaling LUT shape.
   constexpr int kDeepLevels = 1024;
-  const image::GrayImage16 frame16 =
-      image::GrayImage16::widen(frame, kDeepLevels);
+  const image::GrayImage16 mix16[3] = {
+      image::GrayImage16::widen(flat, kDeepLevels),
+      image::GrayImage16::widen(gradient, kDeepLevels),
+      image::GrayImage16::widen(frame, kDeepLevels)};
   std::vector<std::uint16_t> lut16(kDeepLevels);
   for (int i = 0; i < kDeepLevels; ++i) {
     lut16[i] = static_cast<std::uint16_t>((i * 600) / (kDeepLevels - 1));
@@ -135,7 +133,6 @@ int main(int argc, char** argv) {
   // Scratch buffers (shared across backends; parity is checked against
   // freshly captured scalar outputs).
   std::vector<std::uint8_t> out8(n);
-  std::vector<std::uint8_t> out8rgb(3 * n);
   std::vector<std::uint16_t> out16(n);
   std::vector<double> outf(n);
   std::uint64_t counts[256];
@@ -163,11 +160,6 @@ int main(int argc, char** argv) {
          }
          sink = sink + out8[n / 2];
        }},
-      {"lut_apply_rgb8", 3 * n,
-       [&](const kernels::KernelSet& k) {
-         k.lut_apply_rgb8(rgb.data().data(), n, lut8, out8rgb.data());
-         sink = sink + out8rgb[n];
-       }},
       {"luma_bt601_rgb8", n,
        [&](const kernels::KernelSet& k) {
          k.luma_bt601_rgb8(rgb.data().data(), n, out8.data());
@@ -177,38 +169,26 @@ int main(int argc, char** argv) {
        [&](const kernels::KernelSet& k) {
          sink = sink + k.sum_u8(frame.pixels().data(), n);
        }},
-      {"histogram_u16", n,
+      {"histogram_u16/mix", 3 * n,
        [&](const kernels::KernelSet& k) {
          std::memset(counts16.data(), 0,
                      counts16.size() * sizeof(std::uint64_t));
-         k.histogram_u16(frame16.pixels().data(), n, counts16.data());
+         for (const auto& img : mix16) {
+           k.histogram_u16(img.pixels().data(), n, counts16.data());
+         }
          sink = sink + counts16[kDeepLevels / 2];
        }},
-      {"lut_apply_u16", n,
+      {"lut_apply_u16/mix", 3 * n,
        [&](const kernels::KernelSet& k) {
-         k.lut_apply_u16(frame16.pixels().data(), n, lut16.data(),
-                         out16.data());
+         for (const auto& img : mix16) {
+           k.lut_apply_u16(img.pixels().data(), n, lut16.data(),
+                           out16.data());
+         }
          sink = sink + out16[n / 2];
        }},
       {"sum_u16", n,
        [&](const kernels::KernelSet& k) {
-         sink = sink + k.sum_u16(frame16.pixels().data(), n);
-       }},
-      {"lut_apply_f64", n,
-       [&](const kernels::KernelSet& k) {
-         k.lut_apply_f64(frame.pixels().data(), n, lut64, outf.data());
-         sink = sink + static_cast<std::uint64_t>(outf[n / 2] * 255.0);
-       }},
-      {"mul_f64", n,
-       [&](const kernels::KernelSet& k) {
-         k.mul_f64(fa.data(), fb.data(), outf.data(), n);
-         sink = sink + static_cast<std::uint64_t>(outf[n / 2] * 255.0);
-       }},
-      {"saxpy_f64", n,
-       [&](const kernels::KernelSet& k) {
-         std::memcpy(outf.data(), fa.data(), n * sizeof(double));
-         k.saxpy_f64(0.5, fb.data(), outf.data(), n);
-         sink = sink + static_cast<std::uint64_t>(outf[n / 2] * 255.0);
+         sink = sink + k.sum_u16(mix16[2].pixels().data(), n);
        }},
       {"blur_row_f64", n,
        [&](const kernels::KernelSet& k) {
@@ -294,53 +274,41 @@ int main(int argc, char** argv) {
                      best_name});
 
   // ------------------------------------------------------------ parity
-  // Spot-check on the bench frame: every backend's integer outputs must
-  // equal scalar's exactly (the fuzz test in tests/ is the exhaustive
-  // version of this).
+  // Spot-check on the bench frames: every backend's integer outputs
+  // must equal scalar's exactly (the fuzz test in tests/ is the
+  // exhaustive version of this).  The u16 kernels are checked on every
+  // frame of the deep mix, so the uniform-block paths are covered.
   std::size_t mismatches = 0;
   {
+    const kernels::KernelSet& ref = kernels::scalar_kernels();
     std::vector<std::uint8_t> ref8(n);
     std::uint64_t ref_counts[256];
     std::memset(ref_counts, 0, sizeof(ref_counts));
-    kernels::scalar_kernels().histogram_u8(frame.pixels().data(), n,
-                                           ref_counts);
-    kernels::scalar_kernels().lut_apply_u8(frame.pixels().data(), n, lut8,
-                                           ref8.data());
-    std::vector<std::uint8_t> ref_rgb(3 * n);
-    kernels::scalar_kernels().lut_apply_rgb8(rgb.data().data(), n, lut8,
-                                             ref_rgb.data());
-    std::vector<std::uint64_t> ref_counts16(kDeepLevels, 0);
-    std::vector<std::uint16_t> ref16(n);
-    kernels::scalar_kernels().histogram_u16(frame16.pixels().data(), n,
-                                            ref_counts16.data());
-    kernels::scalar_kernels().lut_apply_u16(frame16.pixels().data(), n,
-                                            lut16.data(), ref16.data());
-    const std::uint64_t ref_sum16 =
-        kernels::scalar_kernels().sum_u16(frame16.pixels().data(), n);
+    ref.histogram_u8(frame.pixels().data(), n, ref_counts);
+    ref.lut_apply_u8(frame.pixels().data(), n, lut8, ref8.data());
     for (const auto* s : sets) {
       std::memset(counts, 0, sizeof(counts));
       s->histogram_u8(frame.pixels().data(), n, counts);
       if (std::memcmp(counts, ref_counts, sizeof(counts)) != 0) ++mismatches;
       s->lut_apply_u8(frame.pixels().data(), n, lut8, out8.data());
       if (std::memcmp(out8.data(), ref8.data(), n) != 0) ++mismatches;
-      s->lut_apply_rgb8(rgb.data().data(), n, lut8, out8rgb.data());
-      if (std::memcmp(out8rgb.data(), ref_rgb.data(), 3 * n) != 0) {
-        ++mismatches;
+    }
+    std::vector<std::uint64_t> ref_counts16(kDeepLevels);
+    std::vector<std::uint16_t> ref16(n);
+    for (const auto& img : mix16) {
+      const std::uint16_t* px = img.pixels().data();
+      std::fill(ref_counts16.begin(), ref_counts16.end(), 0);
+      ref.histogram_u16(px, n, ref_counts16.data());
+      ref.lut_apply_u16(px, n, lut16.data(), ref16.data());
+      const std::uint64_t ref_sum16 = ref.sum_u16(px, n);
+      for (const auto* s : sets) {
+        std::fill(counts16.begin(), counts16.end(), 0);
+        s->histogram_u16(px, n, counts16.data());
+        if (counts16 != ref_counts16) ++mismatches;
+        s->lut_apply_u16(px, n, lut16.data(), out16.data());
+        if (out16 != ref16) ++mismatches;
+        if (s->sum_u16(px, n) != ref_sum16) ++mismatches;
       }
-      std::memset(counts16.data(), 0,
-                  counts16.size() * sizeof(std::uint64_t));
-      s->histogram_u16(frame16.pixels().data(), n, counts16.data());
-      if (std::memcmp(counts16.data(), ref_counts16.data(),
-                      counts16.size() * sizeof(std::uint64_t)) != 0) {
-        ++mismatches;
-      }
-      s->lut_apply_u16(frame16.pixels().data(), n, lut16.data(),
-                       out16.data());
-      if (std::memcmp(out16.data(), ref16.data(),
-                      n * sizeof(std::uint16_t)) != 0) {
-        ++mismatches;
-      }
-      if (s->sum_u16(frame16.pixels().data(), n) != ref_sum16) ++mismatches;
     }
   }
   std::printf("backend parity on bench frame: %s\n",

@@ -407,15 +407,16 @@ struct Session::Impl {
   /// A baseline's decision, shaped like a HEBS result so the FrameResult
   /// stays field-for-field what a baseline reports: default target,
   /// empty Φ, Λ = the chosen point's transform (baselines have no
-  /// GHE/PLC stages).
+  /// GHE/PLC stages).  The policy searches and the chosen point is
+  /// measured on the bound context (built with the same distortion
+  /// options and power model as the policy), so the frame's histogram
+  /// and reference caches are computed once.
   template <typename Policy>
   static pipeline::Decide baseline(Policy chooser, double d_max_percent) {
     return [chooser = std::move(chooser),
             d_max_percent](pipeline::FrameContext& ctx) {
       core::HebsResult r;
-      r.evaluation = core::evaluate_operating_point(
-          ctx.image(), chooser.choose(ctx.image(), d_max_percent),
-          ctx.power_model(), ctx.options().distortion);
+      r.evaluation = ctx.evaluate(chooser.choose(ctx, d_max_percent));
       r.point = r.evaluation.point;
       r.lambda = r.point.luminance_transform;
       return r;

@@ -40,12 +40,17 @@ std::string CbcsPolicy::name() const { return "CBCS"; }
 
 hebs::core::OperatingPoint CbcsPolicy::choose(
     const hebs::image::GrayImage& image, double d_max_percent) const {
+  hebs::core::HebsOptions eval_opts;
+  eval_opts.distortion = distortion_;
+  return choose(hebs::pipeline::FrameContext(image, eval_opts, power_model_),
+                d_max_percent);
+}
+
+hebs::core::OperatingPoint CbcsPolicy::choose(
+    const hebs::pipeline::FrameContext& ctx, double d_max_percent) const {
   HEBS_REQUIRE(d_max_percent >= 0.0, "distortion budget must be >= 0");
   // One context for the whole grid search: histogram percentiles and the
   // reference-side metric caches are computed once.
-  hebs::core::HebsOptions eval_opts;
-  eval_opts.distortion = distortion_;
-  hebs::pipeline::FrameContext ctx(image, eval_opts, power_model_);
   const auto& hist = ctx.exact_histogram();
 
   hebs::core::OperatingPoint best = hebs::core::identity_operating_point();

@@ -17,6 +17,10 @@
 
 #include "core/dbs.h"
 
+namespace hebs::pipeline {
+class FrameContext;
+}
+
 namespace hebs::baseline {
 
 /// Search-grid configuration for the CBCS policy.
@@ -43,8 +47,14 @@ class CbcsPolicy : public hebs::core::DbsPolicy {
                           hebs::power::LcdSubsystemPower::lp064v1());
 
   std::string name() const override;
+  /// Builds a context for `image` and forwards to the context form.
   hebs::core::OperatingPoint choose(const hebs::image::GrayImage& image,
                                     double d_max_percent) const override;
+  /// The grid search on an already-bound context, reusing its histogram
+  /// and reference-side metric caches.  `ctx` must carry this policy's
+  /// distortion options and power model.
+  hebs::core::OperatingPoint choose(const hebs::pipeline::FrameContext& ctx,
+                                    double d_max_percent) const;
 
  private:
   CbcsOptions opts_;

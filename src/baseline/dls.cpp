@@ -42,12 +42,17 @@ std::string DlsPolicy::name() const {
 
 hebs::core::OperatingPoint DlsPolicy::choose(
     const hebs::image::GrayImage& image, double d_max_percent) const {
+  hebs::core::HebsOptions eval_opts;
+  eval_opts.distortion = distortion_;
+  return choose(hebs::pipeline::FrameContext(image, eval_opts, power_model_),
+                d_max_percent);
+}
+
+hebs::core::OperatingPoint DlsPolicy::choose(
+    const hebs::pipeline::FrameContext& ctx, double d_max_percent) const {
   HEBS_REQUIRE(d_max_percent >= 0.0, "distortion budget must be >= 0");
   // One context for the whole bisection: the reference-side metric
   // caches are built once and shared by every probe.
-  hebs::core::HebsOptions eval_opts;
-  eval_opts.distortion = distortion_;
-  hebs::pipeline::FrameContext ctx(image, eval_opts, power_model_);
   auto distortion_at = [&](double beta) {
     // Lean: probes only read the distortion; no raster is materialized.
     return ctx.evaluate_lean(dls_operating_point(mode_, beta))

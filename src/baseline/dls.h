@@ -17,6 +17,10 @@
 
 #include "core/dbs.h"
 
+namespace hebs::pipeline {
+class FrameContext;
+}
+
 namespace hebs::baseline {
 
 /// Which of the two DLS compensation mechanisms to use.
@@ -38,8 +42,14 @@ class DlsPolicy : public hebs::core::DbsPolicy {
                          hebs::power::LcdSubsystemPower::lp064v1());
 
   std::string name() const override;
+  /// Builds a context for `image` and forwards to the context form.
   hebs::core::OperatingPoint choose(const hebs::image::GrayImage& image,
                                     double d_max_percent) const override;
+  /// The bisection on an already-bound context, reusing its histogram
+  /// and reference-side metric caches.  `ctx` must carry this policy's
+  /// distortion options and power model.
+  hebs::core::OperatingPoint choose(const hebs::pipeline::FrameContext& ctx,
+                                    double d_max_percent) const;
 
   /// The policy of the original paper [4]: deepest β whose transformation
   /// saturates at most `max_saturated_fraction` of the image's pixels.

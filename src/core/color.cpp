@@ -45,8 +45,10 @@ hebs::image::RgbImage apply_shared_curve(const hebs::image::RgbImage& image,
   for (int i = 0; i < hebs::transform::Lut::kSize; ++i) {
     table[static_cast<std::size_t>(i)] = lut[i];
   }
-  hebs::kernels::active().lut_apply_rgb8(image.data().data(), pixels,
-                                         table.data(), out.data().data());
+  // Interleaved sub-pixel bytes all map through the same table, so the
+  // raster is one 3 * pixels byte-LUT pass.
+  hebs::kernels::active().lut_apply_u8(image.data().data(), 3 * pixels,
+                                       table.data(), out.data().data());
   return out;
 }
 

@@ -78,8 +78,8 @@ ColorHebsResult color_hebs_exact(
 
 /// Applies an operating point to a color image in `mode`.
 /// kSharedCurve: each channel c is displayed at luminance
-/// min(β, ψ(c)), then quantized to 8 bits (through the dispatched
-/// lut_apply_rgb8 kernel).  kLumaRatio: each pixel's luma y maps to
+/// min(β, ψ(c)), then quantized to 8 bits (one dispatched lut_apply_u8
+/// pass over the interleaved sub-pixel bytes).  kLumaRatio: each pixel's luma y maps to
 /// ψ(y) and the channels scale by the common ratio 255·ψ(y)/y
 /// (rounded, clamped at the backlight's physical ceiling β·255 — the
 /// same ceiling displayed_levels imposes on the shared curve; y == 0

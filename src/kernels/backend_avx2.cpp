@@ -155,14 +155,6 @@ void lut_apply_u8_avx2(const std::uint8_t* src, std::size_t n,
   if (i < n) ref::lut_apply_u8(src + i, n - i, lut, dst + i);
 }
 
-// The interleaved color raster is bytes through the same shared table,
-// so the rgb8 entry rides the range-pruned VPSHUFB path directly (a
-// sub-pixel byte and a gray byte look identical to the LUT).
-void lut_apply_rgb8_avx2(const std::uint8_t* rgb, std::size_t n_pixels,
-                         const std::uint8_t* lut, std::uint8_t* dst) {
-  lut_apply_u8_avx2(rgb, 3 * n_pixels, lut, dst);
-}
-
 void luma_bt601_rgb8_avx2(const std::uint8_t* rgb, std::size_t n,
                           std::uint8_t* dst) {
   const __m256d cr = _mm256_set1_pd(0.299);
@@ -212,13 +204,6 @@ std::uint64_t sum_u8_avx2(const std::uint8_t* src, std::size_t n) {
       static_cast<std::uint64_t>(_mm_extract_epi64(hi128, 1));
   return total + ref::sum_u8(src + i, n - i);
 }
-
-// f64 LUT gathers were measured slower than the scalar two-load loop
-// on this generation's VPGATHERDPD (the table lives in L1 either way),
-// so the f64 lookup stays on the reference loop.  mul_f64/saxpy_f64 are
-// likewise pinned to the reference loops: one multiply (or FMA-less
-// multiply-add) per 8-byte element is memory-bound, and BENCH_kernels
-// measured the 256-bit versions at parity with scalar (DESIGN.md §8).
 
 void blur_row_f64_avx2(const double* src, double* dst, int w,
                        const double* taps, int radius) {
@@ -471,21 +456,13 @@ const KernelSet* kernelset_avx2() {
       "AVX2: 256-bit lanes, range-pruned VPSHUFB LUT, SAD sums",
       &histogram_u8_avx2,
       &lut_apply_u8_avx2,
-      &lut_apply_rgb8_avx2,
       &luma_bt601_rgb8_avx2,
       &sum_u8_avx2,
       &histogram_u16_avx2,
       &lut_apply_u16_avx2,
       &sum_u16_avx2,
-      &ref::lut_apply_f64,
-      &ref::mul_f64,
-      &ref::saxpy_f64,
       &blur_row_f64_avx2,
       &blur_col_f64_avx2,
-      &ref::sum_f64,
-      &ref::prefix_row_f64,
-      &ref::window_sums_single_f64,
-      &ref::window_sums_pair_f64,
       &uiqi_q_row_f64_avx2,
       &plc_scan_f64_avx2,
   };

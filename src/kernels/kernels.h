@@ -1,22 +1,21 @@
 // SIMD kernel subsystem: runtime-dispatched per-pixel primitives.
 //
-// Every per-pixel inner loop the pipeline runs — histogram accumulation,
-// LUT application, BT.601 luma extraction, integral-image window sums,
-// Gaussian blur rows/columns, elementwise float ops — is reached through
-// a `KernelSet` vtable.  One set per backend (scalar, SSE4.2, AVX2,
-// NEON); the backend is chosen once at startup from CPU feature
-// detection, overridable through the HEBS_FORCE_BACKEND environment
-// variable and SessionConfig::kernel_backend.
+// The per-pixel loops some backend vectorizes — histogram accumulation,
+// 8/16-bit LUT application, BT.601 luma extraction, byte/sample sums,
+// Gaussian blur rows/columns, the UIQI window row and the PLC DP scan —
+// are reached through a `KernelSet` vtable.  One set per backend
+// (scalar, SSE4.2, AVX2, NEON); the backend is chosen once at startup
+// from CPU feature detection, overridable through the HEBS_FORCE_BACKEND
+// environment variable and SessionConfig::kernel_backend.
 //
 // Output contract (enforced by the parity fuzz test):
 //   * integer kernels are bit-identical across every backend;
 //   * float kernels perform the same IEEE-754 operations per element in
 //     the same order as the scalar reference, so they are bit-identical
-//     too.  Kernels whose speed would require reassociating a serial
-//     accumulation (sum_f64, prefix_row_f64, the window_sums_* integral
-//     rows) are pinned to the scalar accumulation order instead — the
-//     pipeline's bit-exactness guarantees (engine vs. frozen seed path,
-//     percent-mapped vs. uiqi-hvs) depend on it.
+//     too.
+//
+// The f64 loops no backend vectorizes are plain functions, declared at
+// the end of this header.
 #pragma once
 
 #include <cstddef>
@@ -62,14 +61,6 @@ struct KernelSet {
   /// dst[i] = lut[src[i]] for a 256-entry 8-bit table.
   void (*lut_apply_u8)(const std::uint8_t* src, std::size_t n,
                        const std::uint8_t* lut, std::uint8_t* dst);
-  /// Per-channel LUT application over n interleaved RGB8 pixels: every
-  /// sub-pixel byte maps through the same shared 256-entry table
-  /// (§2's color path — the backlight is shared, so one curve drives
-  /// all three channels).  Semantically lut_apply_u8 over 3n bytes;
-  /// kept as its own entry so the color pipeline stage dispatches in
-  /// pixels and each backend can route to its widest byte-LUT path.
-  void (*lut_apply_rgb8)(const std::uint8_t* rgb, std::size_t n_pixels,
-                         const std::uint8_t* lut, std::uint8_t* dst);
   /// ITU-R BT.601 luma of n interleaved RGB8 pixels:
   /// dst[i] = clamp(round(0.299 R + 0.587 G + 0.114 B), 0, 255).
   void (*luma_bt601_rgb8)(const std::uint8_t* rgb, std::size_t n,
@@ -95,15 +86,7 @@ struct KernelSet {
   /// < 2^48 pixels).
   std::uint64_t (*sum_u16)(const std::uint16_t* src, std::size_t n);
 
-  // ------------------------- float kernels (elementwise, bit-exact)
-  /// dst[i] = lut[src[i]] for a 256-entry double table.
-  void (*lut_apply_f64)(const std::uint8_t* src, std::size_t n,
-                        const double* lut, double* dst);
-  /// dst[i] = a[i] * b[i].
-  void (*mul_f64)(const double* a, const double* b, double* dst,
-                  std::size_t n);
-  /// y[i] = y[i] + a * x[i].
-  void (*saxpy_f64)(double a, const double* x, double* y, std::size_t n);
+  // ------------------------------ float kernels (Gaussian blur, bit-exact)
   /// One horizontal blur row with clamped borders: for every x,
   /// dst[x] = sum_k taps[k] * src[clamp(x + k - radius, 0, w-1)],
   /// taps accumulated in k order (2*radius+1 taps).
@@ -113,30 +96,6 @@ struct KernelSet {
   /// out_row[x] = sum_k taps[k] * src[clamp(y + k - radius, 0, h-1)][x].
   void (*blur_col_f64)(const double* src, int w, int h, int y,
                        const double* taps, int radius, double* out_row);
-
-  // ------------- float kernels (scalar accumulation-order contract)
-  /// Left-to-right sum of n doubles.  Backends must keep the scalar
-  /// order: callers (image means, power integrals) are compared
-  /// bit-exactly across configurations.
-  double (*sum_f64)(const double* v, std::size_t n);
-  /// Integral-image row step: out[i] = above[i] + (v[0] + ... + v[i]),
-  /// the running sum accumulated left to right.
-  void (*prefix_row_f64)(const double* v, const double* above, double* out,
-                         std::size_t n);
-  /// Fused single-raster window-sum row: the sum and sum-of-squares
-  /// integral rows of v in one sweep (each table's running sum in
-  /// scalar order; products v[i]*v[i] are elementwise-exact).
-  void (*window_sums_single_f64)(const double* v, std::size_t n,
-                                 const double* above_s,
-                                 const double* above_ss, double* out_s,
-                                 double* out_ss);
-  /// Fused pair window-sum row: the b, b*b and a*b integral rows in one
-  /// sweep (for PairStats' covariance tables).
-  void (*window_sums_pair_f64)(const double* a, const double* b,
-                               std::size_t n, const double* above_b,
-                               const double* above_bb,
-                               const double* above_ab, double* out_b,
-                               double* out_bb, double* out_ab);
 
   // ------------------- float kernels (per-window / per-candidate,
   //                      elementwise bit-exact; see DESIGN.md §8, §11)
@@ -196,5 +155,41 @@ enum class SetBackendResult {
 /// Switches the process-global active backend.  Thread-safe; in-flight
 /// rasters finish on the set they started with.
 SetBackendResult set_backend(std::string_view name);
+
+// ------------------------------------------------------ plain f64 loops
+// Not dispatched: the elementwise ones are memory-bound (vector versions
+// measured at parity with scalar) and the serial ones would reassociate
+// if vectorized, so every backend would run these very loops.  Each has
+// one definition (backend_scalar.cpp, compiled with -ffp-contract=off),
+// which keeps the serial ones' strictly left-to-right accumulation the
+// same under every backend; callers (image means, power integrals, the
+// integral-image tables) compare their results bit-exactly across
+// configurations and against the seed path.
+
+/// dst[i] = lut[src[i]] for a 256-entry double table.
+void lut_apply_f64(const std::uint8_t* src, std::size_t n, const double* lut,
+                   double* dst);
+/// dst[i] = a[i] * b[i].
+void mul_f64(const double* a, const double* b, double* dst, std::size_t n);
+/// y[i] = y[i] + a * x[i].
+void saxpy_f64(double a, const double* x, double* y, std::size_t n);
+/// Left-to-right sum of n doubles.
+double sum_f64(const double* v, std::size_t n);
+/// Integral-image row step: out[i] = above[i] + (v[0] + ... + v[i]),
+/// the running sum accumulated left to right.
+void prefix_row_f64(const double* v, const double* above, double* out,
+                    std::size_t n);
+/// Fused single-raster window-sum row: the sum and sum-of-squares
+/// integral rows of v in one sweep (each table's running sum left to
+/// right; products v[i]*v[i] are elementwise-exact).
+void window_sums_single_f64(const double* v, std::size_t n,
+                            const double* above_s, const double* above_ss,
+                            double* out_s, double* out_ss);
+/// Fused pair window-sum row: the b, b*b and a*b integral rows in one
+/// sweep (for PairStats' covariance tables).
+void window_sums_pair_f64(const double* a, const double* b, std::size_t n,
+                          const double* above_b, const double* above_bb,
+                          const double* above_ab, double* out_b,
+                          double* out_bb, double* out_ab);
 
 }  // namespace hebs::kernels

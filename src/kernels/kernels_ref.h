@@ -1,4 +1,4 @@
-// Scalar reference implementations of every kernel.
+// Scalar reference implementations of every KernelSet slot.
 //
 // These loops are the semantic definition of the subsystem: every SIMD
 // backend must reproduce their output bit-for-bit (see kernels.h for
@@ -24,11 +24,6 @@ inline void histogram_u8(const std::uint8_t* src, std::size_t n,
 inline void lut_apply_u8(const std::uint8_t* src, std::size_t n,
                          const std::uint8_t* lut, std::uint8_t* dst) {
   for (std::size_t i = 0; i < n; ++i) dst[i] = lut[src[i]];
-}
-
-inline void lut_apply_rgb8(const std::uint8_t* rgb, std::size_t n_pixels,
-                           const std::uint8_t* lut, std::uint8_t* dst) {
-  lut_apply_u8(rgb, 3 * n_pixels, lut, dst);
 }
 
 /// Same arithmetic as image::RgbImage::to_luma has always used:
@@ -71,20 +66,6 @@ inline std::uint64_t sum_u16(const std::uint16_t* src, std::size_t n) {
   return acc;
 }
 
-inline void lut_apply_f64(const std::uint8_t* src, std::size_t n,
-                          const double* lut, double* dst) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = lut[src[i]];
-}
-
-inline void mul_f64(const double* a, const double* b, double* dst,
-                    std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] * b[i];
-}
-
-inline void saxpy_f64(double a, const double* x, double* y, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = y[i] + a * x[i];
-}
-
 /// One clamped-border output pixel of the horizontal blur.
 inline double blur_row_one(const double* src, int w, int x,
                            const double* taps, int radius) {
@@ -124,36 +105,6 @@ inline void blur_col_f64(const double* src, int w, int h, int y,
       acc += taps[k] * src[static_cast<std::size_t>(yy) * w + x];
     }
     out_row[x] = acc;
-  }
-}
-
-inline double sum_f64(const double* v, std::size_t n) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < n; ++i) acc += v[i];
-  return acc;
-}
-
-inline void prefix_row_f64(const double* v, const double* above, double* out,
-                           std::size_t n) {
-  double row = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    row += v[i];
-    out[i] = above[i] + row;
-  }
-}
-
-inline void window_sums_single_f64(const double* v, std::size_t n,
-                                   const double* above_s,
-                                   const double* above_ss, double* out_s,
-                                   double* out_ss) {
-  double rs = 0.0;
-  double rss = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double x = v[i];
-    rs += x;
-    out_s[i] = above_s[i] + rs;
-    rss += x * x;
-    out_ss[i] = above_ss[i] + rss;
   }
 }
 
@@ -253,25 +204,6 @@ inline double plc_scan_f64(const PlcScanArgs* args, std::size_t* out_j) {
   }
   *out_j = row_parent;
   return row_best;
-}
-
-inline void window_sums_pair_f64(const double* a, const double* b,
-                                 std::size_t n, const double* above_b,
-                                 const double* above_bb,
-                                 const double* above_ab, double* out_b,
-                                 double* out_bb, double* out_ab) {
-  double rb = 0.0;
-  double rbb = 0.0;
-  double rab = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double xb = b[i];
-    rb += xb;
-    out_b[i] = above_b[i] + rb;
-    rbb += xb * xb;
-    out_bb[i] = above_bb[i] + rbb;
-    rab += a[i] * xb;
-    out_ab[i] = above_ab[i] + rab;
-  }
 }
 
 }  // namespace hebs::kernels::ref

@@ -8,9 +8,9 @@ namespace hebs::quality {
 // All tables here follow the integral-image recurrence
 //   table[y+1][x+1] = table[y][x+1] + (v[y][0] + ... + v[y][x])
 // with the running row sum accumulated left to right.  The row step is
-// the kernel layer's prefix_row_f64 / window_sums_* primitives, whose
-// contract pins exactly that scalar accumulation order, so every table
-// is bit-identical to the pre-kernel implementation on every backend.
+// the kernel layer's prefix_row_f64 / window_sums_* loops, which
+// accumulate in exactly that order and have one implementation, so
+// every table is bit-identical to the pre-kernel implementation.
 
 namespace {
 
@@ -33,9 +33,8 @@ IntegralImage::IntegralImage(std::span<const double> values, int width,
                "raster size mismatch");
   const std::size_t stride = table_stride(width);
   table_.assign(table_cells(width, height), 0.0);
-  const auto& kernels = hebs::kernels::active();
   for (int y = 0; y < height; ++y) {
-    kernels.prefix_row_f64(
+    hebs::kernels::prefix_row_f64(
         values.data() + static_cast<std::size_t>(y) * width,
         table_.data() + static_cast<std::size_t>(y) * stride + 1,
         table_.data() + (static_cast<std::size_t>(y) + 1) * stride + 1,
@@ -52,11 +51,10 @@ IntegralImage IntegralImage::of_squares(std::span<const double> values,
   const std::size_t stride = table_stride(width);
   out.table_.assign(table_cells(width, height), 0.0);
   hebs::util::PoolVector<double> scratch(static_cast<std::size_t>(width));
-  const auto& kernels = hebs::kernels::active();
   for (int y = 0; y < height; ++y) {
     const double* row = values.data() + static_cast<std::size_t>(y) * width;
-    kernels.mul_f64(row, row, scratch.data(), scratch.size());
-    kernels.prefix_row_f64(
+    hebs::kernels::mul_f64(row, row, scratch.data(), scratch.size());
+    hebs::kernels::prefix_row_f64(
         scratch.data(),
         out.table_.data() + static_cast<std::size_t>(y) * stride + 1,
         out.table_.data() + (static_cast<std::size_t>(y) + 1) * stride + 1,
@@ -76,12 +74,11 @@ IntegralImage IntegralImage::of_products(std::span<const double> a,
   const std::size_t stride = table_stride(width);
   out.table_.assign(table_cells(width, height), 0.0);
   hebs::util::PoolVector<double> scratch(static_cast<std::size_t>(width));
-  const auto& kernels = hebs::kernels::active();
   for (int y = 0; y < height; ++y) {
-    kernels.mul_f64(a.data() + static_cast<std::size_t>(y) * width,
-                    b.data() + static_cast<std::size_t>(y) * width,
-                    scratch.data(), scratch.size());
-    kernels.prefix_row_f64(
+    hebs::kernels::mul_f64(a.data() + static_cast<std::size_t>(y) * width,
+                           b.data() + static_cast<std::size_t>(y) * width,
+                           scratch.data(), scratch.size());
+    hebs::kernels::prefix_row_f64(
         scratch.data(),
         out.table_.data() + static_cast<std::size_t>(y) * stride + 1,
         out.table_.data() + (static_cast<std::size_t>(y) + 1) * stride + 1,
@@ -107,11 +104,10 @@ ImageStats::ImageStats(std::span<const double> values, int width, int height)
   const std::size_t stride = table_stride(width);
   sum_.table_.assign(table_cells(width, height), 0.0);
   sum_sq_.table_.assign(table_cells(width, height), 0.0);
-  const auto& kernels = hebs::kernels::active();
   for (int y = 0; y < height; ++y) {
     const std::size_t above = static_cast<std::size_t>(y) * stride + 1;
     const std::size_t out = (static_cast<std::size_t>(y) + 1) * stride + 1;
-    kernels.window_sums_single_f64(
+    hebs::kernels::window_sums_single_f64(
         values.data() + static_cast<std::size_t>(y) * width,
         static_cast<std::size_t>(width), sum_.table_.data() + above,
         sum_sq_.table_.data() + above, sum_.table_.data() + out,
@@ -132,11 +128,10 @@ void build_pair_tables(std::span<const double> a, std::span<const double> b,
   table_b.assign(table_cells(width, height), 0.0);
   table_bb.assign(table_cells(width, height), 0.0);
   table_ab.assign(table_cells(width, height), 0.0);
-  const auto& kernels = hebs::kernels::active();
   for (int y = 0; y < height; ++y) {
     const std::size_t above = static_cast<std::size_t>(y) * stride + 1;
     const std::size_t out = (static_cast<std::size_t>(y) + 1) * stride + 1;
-    kernels.window_sums_pair_f64(
+    hebs::kernels::window_sums_pair_f64(
         a.data() + static_cast<std::size_t>(y) * width,
         b.data() + static_cast<std::size_t>(y) * width,
         static_cast<std::size_t>(width), table_b.data() + above,

@@ -95,8 +95,9 @@ TEST(ColorHebs, ApplyToColorUsesSharedCurve) {
 }
 
 TEST(ColorHebs, SharedCurveKernelPathMatchesPerByteLookup) {
-  // The dispatched lut_apply_rgb8 application must equal the plain
-  // per-byte lookup of the shared quantized curve.
+  // The dispatched lut_apply_u8 pass over the interleaved sub-pixel
+  // bytes must equal the plain per-byte lookup of the shared quantized
+  // curve.
   const auto rgb = hebs::image::make_usid_color(UsidId::kSail, 40);
   OperatingPoint point{
       hebs::transform::PwlCurve({{0.0, 0.05}, {0.6, 0.5}, {1.0, 0.8}}), 0.8};

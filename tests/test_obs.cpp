@@ -434,6 +434,29 @@ TEST(ObsSession, StatsCountFramesAndBreakdownFillsOnSingleFrames) {
   EXPECT_EQ(session->stats().frames_decided, 3u);
 }
 
+// The DLS/CBCS baselines search and measure on the engine's bound
+// context, so a batch frame builds its histogram (and reference caches)
+// once, like every HEBS policy.
+TEST(ObsSession, BaselineBatchBuildsOneHistogramPerFrame) {
+  TracingGuard guard;
+  const auto img = hebs::image::make_usid(hebs::image::UsidId::kLena, 48);
+  const std::vector<hebs::ImageView> frames(2, view_of(img));
+  for (const char* policy : {"dls", "dls-contrast", "cbcs"}) {
+    auto session = hebs::Session::create(hebs::SessionConfig().policy(policy));
+    ASSERT_TRUE(session.has_value()) << session.status().to_string();
+    hebs::obs::start_tracing();
+    auto results = session->process_batch(frames, 10.0);
+    hebs::obs::stop_tracing();
+    ASSERT_TRUE(results.has_value()) << results.status().to_string();
+    EXPECT_EQ(hebs::obs::dropped_spans(), 0u);
+    std::size_t histograms = 0;
+    for (const CollectedSpan& s : hebs::obs::collect_trace()) {
+      if (s.span == Span::kHistogram) ++histograms;
+    }
+    EXPECT_EQ(histograms, frames.size()) << policy;
+  }
+}
+
 // Cross-thread coherence: an 8-thread batch must count exactly one
 // decided frame per image, with every increment arriving from a worker
 // thread (TSan runs this file; relaxed atomics must come back clean).
