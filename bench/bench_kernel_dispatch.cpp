@@ -4,7 +4,8 @@
 // Measures the per-pixel primitives the pipeline dispatches through
 // src/kernels/ (histogram accumulation, 8-bit/16-bit LUT apply, BT.601
 // luma, byte/sample sums, blur rows/columns) on realistic synthetic
-// frames, prints a speedup table, verifies that
+// frames, plus the PLC DP column step over album GHE curves, prints a
+// speedup table, verifies that
 // every backend's output is bit-identical to scalar on the bench data,
 // and writes BENCH_kernels.json ({bench, config, ns_per_frame,
 // mpix_per_s, backend} records) for cross-PR perf tracking.
@@ -25,10 +26,13 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
+#include "hebs/advanced/core.h"
+#include "hebs/advanced/histogram.h"
 #include "hebs/advanced/image.h"
 #include "hebs/advanced/kernels.h"
 
@@ -53,6 +57,70 @@ double time_per_call(int reps, Fn&& fn) {
   }
   return best;
 }
+
+/// One GHE curve Φ laid out for the PLC DP column step: the point and
+/// prefix-sum tables core/plc.cpp builds, plus its DP tables.
+struct PlcCurve {
+  std::vector<double> px, py, sx, sy, sxx, syy, sxy, col, best;
+  std::vector<std::size_t> parent;
+  std::size_t n = 0;
+
+  PlcCurve(const transform::PwlCurve& phi, std::size_t segments)
+      : n(phi.points().size()) {
+    const auto& pts = phi.points();
+    px.resize(n);
+    py.resize(n);
+    for (auto* v : {&sx, &sy, &sxx, &syy, &sxy}) v->assign(n + 1, 0.0);
+    for (std::size_t k = 0; k < n; ++k) {
+      px[k] = pts[k].x;
+      py[k] = pts[k].y;
+      sx[k + 1] = sx[k] + pts[k].x;
+      sy[k + 1] = sy[k] + pts[k].y;
+      sxx[k + 1] = sxx[k] + pts[k].x * pts[k].x;
+      syy[k + 1] = syy[k] + pts[k].y * pts[k].y;
+      sxy[k + 1] = sxy[k] + pts[k].x * pts[k].y;
+    }
+    col.assign(n, 0.0);
+    best.assign((segments + 1) * n, 0.0);
+    parent.assign((segments + 1) * n, 0);
+  }
+
+  /// Chord candidates one DP makes: n(n-1)/2, one per (j, i) pair.
+  std::size_t candidates() const { return n * (n - 1) / 2; }
+
+  /// The whole m-segment DP through `k`'s column step, with the loop
+  /// bounds of core::plc_coarsen.
+  void run_dp(const kernels::KernelSet& k, std::size_t m) {
+    std::fill(best.begin(), best.end(),
+              std::numeric_limits<double>::infinity());
+    best[0] = 0.0;
+    kernels::PlcStepArgs a{};
+    a.px = px.data();
+    a.py = py.data();
+    a.sx = sx.data();
+    a.sy = sy.data();
+    a.sxx = sxx.data();
+    a.syy = syy.data();
+    a.sxy = sxy.data();
+    a.col = col.data();
+    a.best = best.data();
+    a.parent = parent.data();
+    a.stride = n;
+    for (std::size_t i = 1; i < n; ++i) {
+      a.rows = std::min(i + 1 < n ? m - 1 : m, i);
+      if (a.rows == 0) continue;
+      a.pix = px[i];
+      a.piy = py[i];
+      a.sxi = sx[i + 1];
+      a.syi = sy[i + 1];
+      a.sxxi = sxx[i + 1];
+      a.syyi = syy[i + 1];
+      a.sxyi = sxy[i + 1];
+      a.i = i;
+      k.plc_step_f64(&a);
+    }
+  }
+};
 
 }  // namespace
 
@@ -130,6 +198,32 @@ int main(int argc, char** argv) {
   const int radius = 2;
   const double taps[5] = {0.05, 0.25, 0.4, 0.25, 0.05};
 
+  // PLC bench data: Φ of the first eight album photos at 8 and 10 bits
+  // (256 and 1024 points), m = 8 segments (the session default).
+  constexpr std::size_t kPlcSegments = 8;
+  std::vector<PlcCurve> phi256;
+  std::vector<PlcCurve> phi1024;
+  {
+    const auto album = image::usid_album(64);
+    for (std::size_t k = 0; k < 8 && k < album.size(); ++k) {
+      const auto& img = album[k].image;
+      phi256.emplace_back(
+          core::ghe_transform(histogram::Histogram::from_image(img),
+                              core::GheTarget{0, 150}),
+          kPlcSegments);
+      phi1024.emplace_back(
+          core::ghe_transform(histogram::Histogram::from_image(
+                                  image::GrayImage16::widen(img, kDeepLevels)),
+                              core::GheTarget{0, 600}),
+          kPlcSegments);
+    }
+  }
+  const auto plc_candidates = [](const std::vector<PlcCurve>& curves) {
+    std::size_t total = 0;
+    for (const auto& c : curves) total += c.candidates();
+    return total;
+  };
+
   // Scratch buffers (shared across backends; parity is checked against
   // freshly captured scalar outputs).
   std::vector<std::uint8_t> out8(n);
@@ -141,8 +235,9 @@ int main(int argc, char** argv) {
 
   struct KernelCase {
     const char* name;
-    std::size_t pixels;  // per call, for Mpix/s
+    std::size_t pixels;  // per call, for Mpix/s (PLC: chord candidates)
     std::function<void(const kernels::KernelSet&)> run;
+    int reps = 0;        // timed calls per batch; 0 = the raster default
   };
   const std::vector<KernelCase> cases = {
       {"histogram_u8/mix", 3 * n,
@@ -207,6 +302,18 @@ int main(int argc, char** argv) {
          }
          sink = sink + static_cast<std::uint64_t>(outf[n / 2] * 255.0);
        }},
+      {"plc_step_f64/phi256", plc_candidates(phi256),
+       [&](const kernels::KernelSet& k) {
+         for (auto& c : phi256) c.run_dp(k, kPlcSegments);
+         sink = sink + phi256[0].parent.back();
+       },
+       40},
+      {"plc_step_f64/phi1024", plc_candidates(phi1024),
+       [&](const kernels::KernelSet& k) {
+         for (auto& c : phi1024) c.run_dp(k, kPlcSegments);
+         sink = sink + phi1024[0].parent.back();
+       },
+       3},
   };
 
   std::vector<const kernels::KernelSet*> sets;
@@ -219,7 +326,7 @@ int main(int argc, char** argv) {
 
   // ---------------------------------------------------------- measure
   std::vector<bench::BenchRecord> records;
-  std::printf("%-18s", "kernel");
+  std::printf("%-20s", "kernel");
   for (const auto* s : sets) std::printf("  %14s", s->name);
   std::printf("\n");
   double scalar_hist_lut = 0.0;
@@ -228,28 +335,33 @@ int main(int argc, char** argv) {
   std::vector<std::vector<double>> times(
       cases.size(), std::vector<double>(sets.size(), 0.0));
   for (std::size_t c = 0; c < cases.size(); ++c) {
-    std::printf("%-18s", cases[c].name);
+    std::printf("%-20s", cases[c].name);
+    // The PLC rows do not depend on the raster size, so their configs
+    // carry none.
+    const std::string config =
+        cases[c].reps > 0 ? std::string(cases[c].name)
+                          : std::string(cases[c].name) + "/" +
+                                std::to_string(size) + "x" +
+                                std::to_string(size);
     for (std::size_t s = 0; s < sets.size(); ++s) {
-      const double per_call =
-          time_per_call(reps, [&] { cases[c].run(*sets[s]); });
+      const double per_call = time_per_call(
+          cases[c].reps > 0 ? cases[c].reps : reps,
+          [&] { cases[c].run(*sets[s]); });
       times[c][s] = per_call;
       const double mpix = static_cast<double>(cases[c].pixels) / per_call /
                           1e6;
       std::printf("  %7.0f Mpix/s", mpix);
-      records.push_back({"kernel_dispatch",
-                         std::string(cases[c].name) + "/" +
-                             std::to_string(size) + "x" +
-                             std::to_string(size),
-                         per_call * 1e9, mpix, sets[s]->name});
+      records.push_back({"kernel_dispatch", config, per_call * 1e9, mpix,
+                         sets[s]->name});
     }
     std::printf("\n");
   }
   std::printf("\nspeedup vs scalar:\n");
-  std::printf("%-18s", "kernel");
+  std::printf("%-20s", "kernel");
   for (const auto* s : sets) std::printf("  %8s", s->name);
   std::printf("\n");
   for (std::size_t c = 0; c < cases.size(); ++c) {
-    std::printf("%-18s", cases[c].name);
+    std::printf("%-20s", cases[c].name);
     for (std::size_t s = 0; s < sets.size(); ++s) {
       std::printf("  %7.2fx", times[c][0] / times[c][s]);
     }
@@ -308,6 +420,23 @@ int main(int argc, char** argv) {
         s->lut_apply_u16(px, n, lut16.data(), out16.data());
         if (out16 != ref16) ++mismatches;
         if (s->sum_u16(px, n) != ref_sum16) ++mismatches;
+      }
+    }
+    // The PLC column step: every backend's DP tables must equal
+    // scalar's bit for bit.
+    for (auto* curves : {&phi256, &phi1024}) {
+      for (auto& c : *curves) {
+        c.run_dp(ref, kPlcSegments);
+        const std::vector<double> ref_best = c.best;
+        const std::vector<std::size_t> ref_parent = c.parent;
+        for (const auto* s : sets) {
+          c.run_dp(*s, kPlcSegments);
+          if (std::memcmp(c.best.data(), ref_best.data(),
+                          ref_best.size() * sizeof(double)) != 0 ||
+              c.parent != ref_parent) {
+            ++mismatches;
+          }
+        }
       }
     }
   }

@@ -625,8 +625,18 @@ Expected<Session> Session::create(SessionConfig config) {
   }
   if (!trace_path.empty()) {
     // Ring buffers are allocated here, at session setup — the record
-    // path never allocates (the zero-alloc steady-state contract).
-    obs::start_tracing();
+    // path never allocates (the zero-alloc steady-state contract).  The
+    // session's workers plus the calling thread are the only recording
+    // threads, so the default total ring storage is split over exactly
+    // that many slots: a threads(1) session gets 32x the per-thread
+    // room of the 64-slot default, for the same memory.
+    const obs::TraceOptions defaults;
+    obs::TraceOptions opts;
+    opts.max_threads =
+        static_cast<std::size_t>(impl->engine.thread_count()) + 1;
+    opts.events_per_thread =
+        defaults.max_threads * defaults.events_per_thread / opts.max_threads;
+    obs::start_tracing(opts);
     impl->trace_path = trace_path;
   }
   return Session(std::move(impl));

@@ -17,7 +17,7 @@ namespace {
 /// d_k = (y_k - y_j) - s (x_k - x_j) with s the chord slope; the summed
 /// squared error expands into prefix sums of y, y², x, x², xy and cross
 /// terms, all precomputable.  The per-candidate arithmetic lives in the
-/// kernel layer (plc_scan_f64 / ref::plc_chord_err); this class owns the
+/// kernel layer (plc_step_f64 / ref::plc_chord_err); this class owns the
 /// tables and hoists the i-side terms out of the DP's inner j loop.
 class ChordError {
  public:
@@ -40,8 +40,8 @@ class ChordError {
     }
   }
 
-  /// Fills the table pointers and the hoisted i-side terms of one scan.
-  void fill(hebs::kernels::PlcScanArgs& a, std::size_t i) const {
+  /// Fills the table pointers and the hoisted i-side terms of column i.
+  void fill(hebs::kernels::PlcStepArgs& a, std::size_t i) const {
     a.px = px_.data();
     a.py = py_.data();
     a.sx = sx_.data();
@@ -64,10 +64,10 @@ class ChordError {
   hebs::util::PoolVector<double> sx_, sy_, sxx_, syy_, sxy_;
 };
 
-/// Candidate-count ceiling for the DP.  The program is O(m n²) (with
-/// pruning) in the breakpoint candidates, which is fine on the 8-bit
-/// (257-point) and 10-bit (1025-point) lattices but takes tens of
-/// seconds on a dense 16-bit curve (65536 points per ghe_transform).
+/// Candidate-count ceiling for the DP.  The program is O(m n²) in the
+/// breakpoint candidates, which is fine on the 8-bit (256-point) and
+/// 10-bit (1024-point) lattices but takes tens of seconds on a dense
+/// 16-bit curve (65536 points per ghe_transform).
 /// Above the cap the candidate set is uniformly decimated — endpoints
 /// always kept — before the DP runs.  Lattices at or below the cap are
 /// untouched, so u8/u10 results stay byte-for-byte identical.
@@ -111,31 +111,27 @@ PlcResult plc_coarsen(const hebs::transform::PwlCurve& exact, int segments) {
 
   // best[s][i]: minimal squared error of approximating points 0..i with s
   // segments ending exactly at point i.  parent[s][i] reconstructs the
-  // chosen breakpoints.  Flat row-per-segment storage keeps the inner
-  // loop on two contiguous rows; iterating s outermost consumes row s-1
-  // sequentially.
+  // chosen breakpoints.  The chord error e(j, i) does not depend on s,
+  // so i runs outermost: column i's chord errors e(j, i), j < i, are
+  // computed once, into `col`, and shared by every row's min-scan.  Row s at
+  // column i reads only columns j < i of row s-1, all filled by then.
+  // Only best[m][n-1] of row m is ever read, so row m runs at the last
+  // column alone.
   hebs::util::PoolVector<double> best((m + 1) * n, kInf);
   hebs::util::PoolVector<std::size_t> parent((m + 1) * n, 0);
+  hebs::util::PoolVector<double> col(n);
   best[0] = 0.0;  // best[0][0]
   const auto& kn = hebs::kernels::active();
-  for (std::size_t s = 1; s <= m; ++s) {
-    const double* prev = best.data() + (s - 1) * n;
-    double* cur = best.data() + s * n;
-    std::size_t* par = parent.data() + s * n;
-    hebs::kernels::PlcScanArgs args;
-    args.prev = prev;
-    args.j_begin = s - 1;
-    for (std::size_t i = s; i < n; ++i) {
-      chord.fill(args, i);
-      // Seed with the previous column's parent — usually near the
-      // optimum, so the kernel's prune bound is tight from the start.
-      // The seed is only a pruning hint: the kernel always returns the
-      // lowest-j argmin, exactly a plain ascending scan with strict `<`.
-      args.j_seed = i > s ? par[i - 1] : s - 1;
-      std::size_t pj = 0;
-      cur[i] = kn.plc_scan_f64(&args, &pj);
-      par[i] = pj;
-    }
+  hebs::kernels::PlcStepArgs args;
+  args.col = col.data();
+  args.best = best.data();
+  args.parent = parent.data();
+  args.stride = n;
+  for (std::size_t i = 1; i < n; ++i) {
+    args.rows = std::min(i + 1 < n ? m - 1 : m, i);
+    if (args.rows == 0) continue;
+    chord.fill(args, i);
+    kn.plc_step_f64(&args);
   }
 
   // The approximation may use fewer than m segments if that is already

@@ -9,8 +9,10 @@
 // Solved by dynamic programming (Eq. 9):
 //   E(i, s) = min_j ( E(j, s-1) + e(j, i) )
 // where e(j, i) is the squared error of replacing points j..i by the
-// single chord p_j -> p_i.  With prefix sums, each e(j, i) is O(1), so
-// the whole program is O(m n²) — the complexity the paper quotes.
+// single chord p_j -> p_i.  With prefix sums, each e(j, i) is O(1).
+// e(j, i) does not depend on s, so each call makes n(n-1)/2 chord
+// evaluations, one column per breakpoint i shared by all m rows, plus
+// O(m n²) adds and compares — the complexity the paper quotes.
 // Few segments matter because each linear piece costs one controllable
 // voltage source in the hierarchical reference driver.
 #pragma once

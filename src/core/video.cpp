@@ -40,9 +40,7 @@ FrameDecision VideoBacklightController::apply_flicker_control(
   FrameDecision decision;
   decision.raw_beta = raw.point.beta;
 
-  // Scene-cut detection from histogram change.  Always the exact
-  // histogram — a decimated estimate may drive the pipeline's statistics
-  // stages, but the cut detector compares what is actually on screen.
+  // Scene-cut detection from the change in the exact histogram.
   const auto& hist = ctx.exact_histogram();
   decision.scene_cut =
       prev_hist_.has_value() &&

@@ -321,20 +321,75 @@ void uiqi_q_row_f64_avx2(const double* mean_a, const double* var_a,
   }
 }
 
-double plc_scan_f64_avx2(const PlcScanArgs* args, std::size_t* out_j) {
-  const PlcScanArgs& a = *args;
-  if (a.i - a.j_begin < 8) return ref::plc_scan_f64(args, out_j);
+/// Rows s0..s0+kRows-1 of one DP column, fused: one pass over col[]
+/// feeds every row's four lane accumulators.  Lane l keeps the
+/// lowest-j minimum of its j ≡ l (mod 4) subsequence — j only grows
+/// within a lane, so `candidate < best` keeps the earliest j, and
+/// min_pd(candidate, best) is exactly that select.  A lexicographic
+/// (value, j) fold over the lanes and an ascending scalar tail then
+/// give the row's lowest-j argmin, the reference scan's answer.
+template <int kRows>
+void plc_rows_avx2(const PlcStepArgs& a, std::size_t s0) {
+  const __m256d inf =
+      _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  const double* prev[kRows];
+  __m256d vbest[kRows];
+  __m256d vbestj[kRows];
+  for (int r = 0; r < kRows; ++r) {
+    prev[r] = a.best + (s0 + r - 1) * a.stride;
+    vbest[r] = inf;
+    vbestj[r] = _mm256_setzero_pd();
+  }
+  __m256d vj = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
+  const __m256d vj_step = _mm256_set1_pd(4.0);
+  const std::size_t vec_end = a.i - a.i % 4;
+  for (std::size_t j = 0; j < vec_end;
+       j += 4, vj = _mm256_add_pd(vj, vj_step)) {
+    const __m256d col = _mm256_loadu_pd(a.col + j);
+    for (int r = 0; r < kRows; ++r) {
+      const __m256d cand = _mm256_add_pd(_mm256_loadu_pd(prev[r] + j), col);
+      const __m256d lt = _mm256_cmp_pd(cand, vbest[r], _CMP_LT_OQ);
+      vbest[r] = _mm256_min_pd(cand, vbest[r]);
+      vbestj[r] = _mm256_blendv_pd(vbestj[r], vj, lt);
+    }
+  }
+  for (int r = 0; r < kRows; ++r) {
+    double best_v[4];
+    double best_j[4];
+    _mm256_storeu_pd(best_v, vbest[r]);
+    _mm256_storeu_pd(best_j, vbestj[r]);
+    double row_best = best_v[0];
+    auto row_parent = static_cast<std::size_t>(best_j[0]);
+    for (int l = 1; l < 4; ++l) {
+      const auto lj = static_cast<std::size_t>(best_j[l]);
+      if (best_v[l] < row_best ||
+          (best_v[l] == row_best && lj < row_parent)) {
+        row_best = best_v[l];
+        row_parent = lj;
+      }
+    }
+    for (std::size_t j = vec_end; j < a.i; ++j) {
+      const double candidate = prev[r][j] + a.col[j];
+      if (candidate < row_best) {
+        row_best = candidate;
+        row_parent = j;
+      }
+    }
+    const std::size_t s = s0 + r;
+    a.best[s * a.stride + a.i] = row_best;
+    a.parent[s * a.stride + a.i] = row_parent;
+  }
+}
 
-  // The scalar seed candidate starts the prune bound; a block whose
-  // smallest prev[] strictly exceeds the bound cannot contain the
-  // argmin (candidate >= prev, ties at the bound are never pruned), so
-  // it is skipped whole.  The bound is a stale-but-safe upper estimate
-  // of the running best, refreshed by a horizontal fold every few
-  // blocks.
-  std::size_t seed_j = a.j_seed;
-  const double seed_best = a.prev[seed_j] + ref::plc_chord_err(a, seed_j);
-  double bound = seed_best;
+void plc_step_f64_avx2(const PlcStepArgs* args) {
+  const PlcStepArgs& a = *args;
+  if (a.i < 8 || a.rows == 1) {  // rows == 1 reads one chord error
+    ref::plc_step_f64(args);
+    return;
+  }
 
+  // The chord-error column, four j per iteration, each lane with the
+  // scalar reference's exact operation sequence.
   const __m256d vpix = _mm256_set1_pd(a.pix);
   const __m256d vpiy = _mm256_set1_pd(a.piy);
   const __m256d vsxi = _mm256_set1_pd(a.sxi);
@@ -345,31 +400,10 @@ double plc_scan_f64_avx2(const PlcScanArgs* args, std::size_t* out_j) {
   const __m256d vip1 = _mm256_set1_pd(static_cast<double>(a.i + 1));
   const __m256d two = _mm256_set1_pd(2.0);
   const __m256d zero = _mm256_setzero_pd();
-  const __m256d inf =
-      _mm256_set1_pd(std::numeric_limits<double>::infinity());
-
-  // Lane l accumulates the lowest-j argmin over its j ≡ l (mod 4)
-  // subsequence: within a lane j only grows, so a strict `<` keeps the
-  // earliest j automatically.
-  __m256d vbest = inf;
-  __m256d vbestj = zero;
-  const std::size_t jb = a.j_begin;
-  __m256d vj = _mm256_setr_pd(
-      static_cast<double>(jb), static_cast<double>(jb + 1),
-      static_cast<double>(jb + 2), static_cast<double>(jb + 3));
+  __m256d vj = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
   const __m256d vj_step = _mm256_set1_pd(4.0);
-
-  std::size_t j = jb;
-  int blocks_since_refresh = 0;
+  std::size_t j = 0;
   for (; j + 4 <= a.i; j += 4, vj = _mm256_add_pd(vj, vj_step)) {
-    const __m256d prev = _mm256_loadu_pd(a.prev + j);
-    // Block prune: skip when even the smallest prev[] strictly exceeds
-    // the (stale >= true best) bound.
-    __m128d m01 = _mm_min_pd(_mm256_castpd256_pd128(prev),
-                             _mm256_extractf128_pd(prev, 1));
-    m01 = _mm_min_sd(m01, _mm_unpackhi_pd(m01, m01));
-    if (_mm_cvtsd_f64(m01) > bound) continue;
-
     const __m256d pjx = _mm256_loadu_pd(a.px + j);
     const __m256d pjy = _mm256_loadu_pd(a.py + j);
     const __m256d s =
@@ -395,57 +429,26 @@ double plc_scan_f64_avx2(const PlcScanArgs* args, std::size_t* out_j) {
         _mm256_sub_pd(_mm256_sub_pd(sum_xy, _mm256_mul_pd(pjx, sum_y)),
                       _mm256_mul_pd(pjy, sum_x)),
         _mm256_mul_pd(_mm256_mul_pd(n, pjx), pjy));
-    __m256d err = _mm256_add_pd(
+    const __m256d err = _mm256_add_pd(
         _mm256_sub_pd(sum_dyy,
                       _mm256_mul_pd(_mm256_mul_pd(two, s), sum_dxy)),
         _mm256_mul_pd(_mm256_mul_pd(s, s), sum_dxx));
     // err > 0 ? err : 0.0 — masking to +0.0 matches the scalar branch.
-    err = _mm256_and_pd(err, _mm256_cmp_pd(err, zero, _CMP_GT_OQ));
-    const __m256d cand = _mm256_add_pd(prev, err);
-    const __m256d lt = _mm256_cmp_pd(cand, vbest, _CMP_LT_OQ);
-    vbest = _mm256_blendv_pd(vbest, cand, lt);
-    vbestj = _mm256_blendv_pd(vbestj, vj, lt);
+    _mm256_storeu_pd(a.col + j,
+                     _mm256_and_pd(err, _mm256_cmp_pd(err, zero, _CMP_GT_OQ)));
+  }
+  for (; j < a.i; ++j) a.col[j] = ref::plc_chord_err(a, j);
 
-    if (++blocks_since_refresh == 16) {
-      blocks_since_refresh = 0;
-      __m128d b01 = _mm_min_pd(_mm256_castpd256_pd128(vbest),
-                               _mm256_extractf128_pd(vbest, 1));
-      b01 = _mm_min_sd(b01, _mm_unpackhi_pd(b01, b01));
-      const double lane_min = _mm_cvtsd_f64(b01);
-      if (lane_min < bound) bound = lane_min;
-    }
+  // The rows, four at a time (eight accumulators fit the sixteen
+  // registers alongside the column and index vectors).
+  std::size_t s = 1;
+  for (; s + 3 <= a.rows; s += 4) plc_rows_avx2<4>(a, s);
+  switch (a.rows + 1 - s) {
+    case 3: plc_rows_avx2<3>(a, s); break;
+    case 2: plc_rows_avx2<2>(a, s); break;
+    case 1: plc_rows_avx2<1>(a, s); break;
+    default: break;
   }
-
-  // Fold the lanes (lexicographic min on (value, j) — the global
-  // lowest-j argmin), then the seed candidate and the scalar tail.
-  double best_v[4];
-  double best_j[4];
-  _mm256_storeu_pd(best_v, vbest);
-  _mm256_storeu_pd(best_j, vbestj);
-  double row_best = seed_best;
-  std::size_t row_parent = seed_j;
-  for (int l = 0; l < 4; ++l) {
-    const auto lj = static_cast<std::size_t>(best_j[l]);
-    if (best_v[l] < row_best ||
-        (best_v[l] == row_best && lj < row_parent)) {
-      row_best = best_v[l];
-      row_parent = lj;
-    }
-  }
-  for (; j < a.i; ++j) {
-    if (a.prev[j] > row_best ||
-        (a.prev[j] == row_best && j >= row_parent)) {
-      continue;
-    }
-    const double candidate = a.prev[j] + ref::plc_chord_err(a, j);
-    if (candidate < row_best ||
-        (candidate == row_best && j < row_parent)) {
-      row_best = candidate;
-      row_parent = j;
-    }
-  }
-  *out_j = row_parent;
-  return row_best;
 }
 
 }  // namespace
@@ -464,7 +467,7 @@ const KernelSet* kernelset_avx2() {
       &blur_row_f64_avx2,
       &blur_col_f64_avx2,
       &uiqi_q_row_f64_avx2,
-      &plc_scan_f64_avx2,
+      &plc_step_f64_avx2,
   };
   return &set;
 }

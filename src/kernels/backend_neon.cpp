@@ -177,7 +177,7 @@ const KernelSet* kernelset_neon() {
       // Two-double q lanes / DP lanes don't amortize the blend and
       // horizontal-fold overhead (same call as SSE4.2); reference loops.
       &ref::uiqi_q_row_f64,
-      &ref::plc_scan_f64,
+      &ref::plc_step_f64,
   };
   return &set;
 }

@@ -21,7 +21,7 @@ const KernelSet* kernelset_scalar() {
       &ref::blur_row_f64,
       &ref::blur_col_f64,
       &ref::uiqi_q_row_f64,
-      &ref::plc_scan_f64,
+      &ref::plc_step_f64,
   };
   return &set;
 }

@@ -195,7 +195,7 @@ const KernelSet* kernelset_sse42() {
       // win (the AVX2 4-wide versions are where the payoff starts), so
       // both stay on the reference loops.
       &ref::uiqi_q_row_f64,
-      &ref::plc_scan_f64,
+      &ref::plc_step_f64,
   };
   return &set;
 }

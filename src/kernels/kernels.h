@@ -2,8 +2,8 @@
 //
 // The per-pixel loops some backend vectorizes — histogram accumulation,
 // 8/16-bit LUT application, BT.601 luma extraction, byte/sample sums,
-// Gaussian blur rows/columns, the UIQI window row and the PLC DP scan —
-// are reached through a `KernelSet` vtable.  One set per backend
+// Gaussian blur rows/columns, the UIQI window row and the PLC DP column
+// step — are reached through a `KernelSet` vtable.  One set per backend
 // (scalar, SSE4.2, AVX2, NEON); the backend is chosen once at startup
 // from CPU feature detection, overridable through the HEBS_FORCE_BACKEND
 // environment variable and SessionConfig::kernel_backend.
@@ -25,12 +25,15 @@
 
 namespace hebs::kernels {
 
-/// Arguments of one PLC dynamic-program row scan (core/plc.cpp).  The
-/// px/py/s* pointers are the chord-error point and prefix-sum arrays
-/// (prefix arrays have one extra leading zero entry); `prev` is DP row
-/// s-1; the scalar fields are the i-side values hoisted out of the j
-/// loop (p_i and the prefix sums at i+1).
-struct PlcScanArgs {
+/// Arguments of one PLC dynamic-program column step (core/plc.cpp).
+/// The px/py/s* pointers are the chord-error point and prefix-sum
+/// arrays (prefix arrays have one extra leading zero entry); the scalar
+/// fields are the i-side values hoisted out of the j loop (p_i and the
+/// prefix sums at i+1).  `best`/`parent` are the DP tables, row s
+/// starting at s * stride.  Entries of row s below column s are +inf,
+/// best[s][s] is finite and row 0 is finite only at column 0, as the DP
+/// leaves them.
+struct PlcStepArgs {
   const double* px;
   const double* py;
   const double* sx;
@@ -38,13 +41,14 @@ struct PlcScanArgs {
   const double* sxx;
   const double* syy;
   const double* sxy;
-  const double* prev;
   double pix, piy;
   double sxi, syi, sxxi, syyi, sxyi;
-  std::size_t i;       ///< chord endpoint (exclusive scan bound)
-  std::size_t j_begin; ///< first candidate breakpoint (s-1)
-  std::size_t j_seed;  ///< scan seed in [j_begin, i) — a perf hint for
-                       ///< the prune bound; the result is seed-independent
+  std::size_t i;          ///< chord endpoint: the DP column being filled
+  double* col;            ///< scratch of >= i entries, receives e(j, i)
+  double* best;           ///< DP values best[s * stride + j]
+  std::size_t* parent;    ///< DP argmins, same layout
+  std::size_t stride;     ///< row length (the curve's point count)
+  std::size_t rows;       ///< rows 1..rows of column i are filled; <= i
 };
 
 /// Dispatch table of the per-pixel hot-path primitives.  All pointers
@@ -113,14 +117,15 @@ struct KernelSet {
                          const double* ab_top, const double* ab_bot,
                          std::size_t n_win, int block, double n_px,
                          double* q_out);
-  /// Lowest-j argmin of prev[j] + chord_error(j -> i) over
-  /// j in [j_begin, i): the PLC DP inner scan.  Returns the best value
-  /// and writes the argmin to *out_j.  Candidate values are computed
-  /// with the exact scalar chord arithmetic; the selection rule
-  /// (strictly smaller value, or equal value at smaller j) makes the
-  /// result independent of evaluation order and of which candidates a
-  /// backend prunes, so every backend returns identical (value, j).
-  double (*plc_scan_f64)(const PlcScanArgs* args, std::size_t* out_j);
+  /// One column of the PLC DP (DESIGN.md §11): col[j] = e(j, i), the
+  /// squared error of the chord p_j -> p_i, for every j < i, computed
+  /// once; then for s = 1..rows, best[s][i] and parent[s][i] receive
+  /// the minimum of best[s-1][j] + col[j] over j < i and its lowest-j
+  /// argmin, exactly what a plain ascending scan with strict `<`
+  /// returns.  With rows == 1 only col[0] is written: row 0 has no
+  /// other finite entry.  Every candidate is formed with the scalar
+  /// chord arithmetic, so every backend fills identical tables.
+  void (*plc_step_f64)(const PlcStepArgs* args);
 };
 
 /// One compiled-in backend plus whether this machine can run it.

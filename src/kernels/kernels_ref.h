@@ -5,6 +5,13 @@
 // the contract).  They are also reused by the vector backends for
 // border and tail lanes, so a backend never re-implements the scalar
 // arithmetic twice.
+//
+// The loops have internal linkage: each backend TU that calls or takes
+// the address of one gets its own copy, compiled with that TU's ISA
+// flags.  An inline function with external linkage would instead be
+// emitted as a weak symbol by every such TU, and the linker would keep
+// one copy for all of them — possibly an -msse4.2 or -mavx2 one behind
+// the scalar table.
 #pragma once
 
 #include <algorithm>
@@ -15,6 +22,7 @@
 #include "kernels/kernels.h"
 
 namespace hebs::kernels::ref {
+namespace {
 
 inline void histogram_u8(const std::uint8_t* src, std::size_t n,
                          std::uint64_t* counts) {
@@ -155,7 +163,7 @@ inline void uiqi_q_row_f64(const double* mean_a, const double* var_a,
 /// prefix sums: for an interior point p_k the error is
 /// (y_k - y_j) - s (x_k - x_j) with s the chord slope, and the summed
 /// square expands into range sums of y, y², x, x², xy.
-inline double plc_chord_err(const PlcScanArgs& a, std::size_t j) {
+inline double plc_chord_err(const PlcStepArgs& a, std::size_t j) {
   const double pjx = a.px[j];
   const double pjy = a.py[j];
   const double s = (a.piy - pjy) / (a.pix - pjx);
@@ -176,34 +184,33 @@ inline double plc_chord_err(const PlcScanArgs& a, std::size_t j) {
   return err > 0.0 ? err : 0.0;  // guard fp cancellation
 }
 
-inline double plc_scan_f64(const PlcScanArgs* args, std::size_t* out_j) {
-  const PlcScanArgs& a = *args;
-  // Seed the scan (usually near the optimum, so the bound below is
-  // tight from the start).  The selection rule — strictly smaller
-  // value, or equal value at a smaller j — makes the result independent
-  // of the seed: it is always the lowest-j argmin, exactly what a plain
-  // ascending scan with strict `<` produces.
-  std::size_t row_parent = a.j_seed;
-  double row_best = a.prev[row_parent] + plc_chord_err(a, row_parent);
-  for (std::size_t j = a.j_begin; j < a.i; ++j) {
-    // candidate = prev[j] + chord(j, i) >= prev[j]: when prev[j]
-    // already loses, skip the chord evaluation (and its division).
-    // Equality can win only through a zero-error chord at j <
-    // row_parent (the tie rule), so j >= row_parent is prunable at
-    // equality too.
-    if (a.prev[j] > row_best ||
-        (a.prev[j] == row_best && j >= row_parent)) {
-      continue;
-    }
-    const double candidate = a.prev[j] + plc_chord_err(a, j);
-    if (candidate < row_best ||
-        (candidate == row_best && j < row_parent)) {
+/// Row s of column i: the lowest-j argmin of best[s-1][j] + col[j] over
+/// j < j_end by a plain ascending strict-`<` scan.  It starts at
+/// j = s - 1, since best[s-1][j] is +inf below that and cannot win.
+inline void plc_row_update(const PlcStepArgs& a, std::size_t s,
+                           std::size_t j_end) {
+  const double* prev = a.best + (s - 1) * a.stride;
+  double row_best = prev[s - 1] + a.col[s - 1];
+  std::size_t row_parent = s - 1;
+  for (std::size_t j = s; j < j_end; ++j) {
+    const double candidate = prev[j] + a.col[j];
+    if (candidate < row_best) {
       row_best = candidate;
       row_parent = j;
     }
   }
-  *out_j = row_parent;
-  return row_best;
+  a.best[s * a.stride + a.i] = row_best;
+  a.parent[s * a.stride + a.i] = row_parent;
 }
 
+/// The column step.  DP row 0 is finite only at column 0, so a step
+/// that fills row 1 alone needs the one chord e(0, i).
+inline void plc_step_f64(const PlcStepArgs* args) {
+  const PlcStepArgs& a = *args;
+  const std::size_t j_end = a.rows > 1 ? a.i : 1;
+  for (std::size_t j = 0; j < j_end; ++j) a.col[j] = plc_chord_err(a, j);
+  for (std::size_t s = 1; s <= a.rows; ++s) plc_row_update(a, s, j_end);
+}
+
+}  // namespace
 }  // namespace hebs::kernels::ref

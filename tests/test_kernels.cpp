@@ -461,20 +461,20 @@ TEST(KernelParity, UiqiQRowAcrossBackends) {
   }
 }
 
-// The PLC DP inner scan: lowest-j argmin of prev[j] + chord error.
-// The selection rule (strictly smaller value, or equal value at
-// smaller j) makes the result independent of seed and of pruning, so
-// every backend must return the identical (value, argmin) pair — which
-// this fuzz checks across seeds, j_begin offsets and prev rows salted
-// with infinities (unreachable DP states).
-TEST(KernelParity, PlcScanAcrossBackends) {
+// One PLC DP column step: the chord-error column and every row's
+// lowest-j argmin over it.  Every backend must fill the identical
+// column, values and argmins — checked over column indices on both
+// sides of the vector width, up to eleven rows (so the AVX2 entry's
+// 4-row groups and their remainders all run), and DP rows salted with
+// infinities (unreachable states) and exact ties.
+TEST(KernelParity, PlcStepAcrossBackends) {
   const auto sets = supported_backends();
   const KernelSet& ref = scalar_kernels();
-  std::mt19937 rng(20260808);
+  std::mt19937 rng(20261021);
   std::uniform_real_distribution<double> val(0.0, 1.0);
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (int iter = 0; iter < 80; ++iter) {
-    const std::size_t n = 3 + rng() % 64;
+  for (int iter = 0; iter < 120; ++iter) {
+    const std::size_t n = 3 + rng() % 80;
     std::vector<double> px(n);
     std::vector<double> py(n);
     double x = 0.0;
@@ -495,13 +495,21 @@ TEST(KernelParity, PlcScanAcrossBackends) {
       syy[k + 1] = syy[k] + py[k] * py[k];
       sxy[k + 1] = sxy[k] + px[k] * py[k];
     }
-    std::vector<double> prev(n);
-    for (auto& v : prev) v = rng() % 5 == 0 ? kInf : val(rng);
-
-    const std::size_t i = 2 + rng() % (n - 2);
-    const std::size_t j_begin = rng() % (i - 1);
-    prev[j_begin] = val(rng);  // at least one finite candidate
-    PlcScanArgs args{};
+    const std::size_t i = 1 + rng() % (n - 1);
+    const std::size_t rows = 1 + rng() % std::min<std::size_t>(i, 11);
+    // DP-shaped tables: row 0 is finite only at column 0; row s >= 1 is
+    // +inf below column s, finite at s, and random (a fifth +inf, some
+    // exact ties on a coarse grid) above.
+    std::vector<double> best((rows + 1) * n, kInf);
+    best[0] = 0.0;
+    for (std::size_t s = 1; s < rows; ++s) {
+      best[s * n + s] = val(rng);
+      for (std::size_t j = s + 1; j < n; ++j) {
+        const unsigned r = rng() % 10;
+        best[s * n + j] = r < 2 ? kInf : (r < 4 ? 0.25 : val(rng));
+      }
+    }
+    PlcStepArgs args{};
     args.px = px.data();
     args.py = py.data();
     args.sx = sx.data();
@@ -509,7 +517,6 @@ TEST(KernelParity, PlcScanAcrossBackends) {
     args.sxx = sxx.data();
     args.syy = syy.data();
     args.sxy = sxy.data();
-    args.prev = prev.data();
     args.pix = px[i];
     args.piy = py[i];
     args.sxi = sx[i + 1];
@@ -518,26 +525,39 @@ TEST(KernelParity, PlcScanAcrossBackends) {
     args.syyi = syy[i + 1];
     args.sxyi = sxy[i + 1];
     args.i = i;
-    args.j_begin = j_begin;
+    args.stride = n;
+    args.rows = rows;
 
-    args.j_seed = j_begin;
-    std::size_t j_ref = 0;
-    const double v_ref = ref.plc_scan_f64(&args, &j_ref);
+    std::vector<double> col_ref(n, -1.0);
+    std::vector<double> best_ref = best;
+    std::vector<std::size_t> parent_ref((rows + 1) * n, 0);
+    args.col = col_ref.data();
+    args.best = best_ref.data();
+    args.parent = parent_ref.data();
+    ref.plc_step_f64(&args);
     for (const KernelSet* set : sets) {
-      // The seed is a performance hint only: sweep it across the scan
-      // interval and require the identical (value, argmin) regardless.
-      for (const std::size_t seed :
-           {j_begin, (j_begin + i - 1) / 2, i - 1}) {
-        args.j_seed = seed;
-        std::size_t j = 0;
-        const double v = set->plc_scan_f64(&args, &j);
-        EXPECT_EQ(std::memcmp(&v, &v_ref, sizeof v), 0)
-            << "plc_scan_f64 value diverges on " << set->name << " (iter "
-            << iter << ", seed " << seed << ")";
-        EXPECT_EQ(j, j_ref) << "plc_scan_f64 argmin diverges on "
-                            << set->name << " (iter " << iter << ", seed "
-                            << seed << ")";
-      }
+      std::vector<double> col(n, -1.0);
+      std::vector<double> got = best;
+      std::vector<std::size_t> parent((rows + 1) * n, 0);
+      args.col = col.data();
+      args.best = got.data();
+      args.parent = parent.data();
+      set->plc_step_f64(&args);
+      // A one-row step writes col[0] only (row 0's one finite entry).
+      const std::size_t filled = rows > 1 ? i : 1;
+      EXPECT_EQ(std::memcmp(col.data(), col_ref.data(),
+                            filled * sizeof(double)),
+                0)
+          << "plc_step_f64 column diverges on " << set->name << " (iter "
+          << iter << ", i " << i << ")";
+      EXPECT_EQ(std::memcmp(got.data(), best_ref.data(),
+                            got.size() * sizeof(double)),
+                0)
+          << "plc_step_f64 values diverge on " << set->name << " (iter "
+          << iter << ", i " << i << ", rows " << rows << ")";
+      EXPECT_EQ(parent, parent_ref)
+          << "plc_step_f64 argmins diverge on " << set->name << " (iter "
+          << iter << ", i " << i << ", rows " << rows << ")";
     }
   }
 }

@@ -475,4 +475,49 @@ TEST(ObsSession, CountersAreCoherentAcrossWorkerThreads) {
   EXPECT_GE(stats.parallel_for_items, kImages);
 }
 
+// A traced session splits the tracer's ring storage over its own
+// recording threads (workers + caller), not over the 64 slots of the
+// default: a threads(1) stream holds far more than the default
+// 65,536-event per-thread ring without dropping a span.
+TEST(ObsSession, TracedSessionRingsHoldLongStreams) {
+  TracingGuard guard;
+  const std::string path = temp_path("hebs_session_long_trace.json");
+  {
+    auto session = hebs::Session::create(
+        hebs::SessionConfig().threads(1).trace_path(path));
+    ASSERT_TRUE(session.has_value()) << session.status().to_string();
+    const auto img = hebs::image::make_usid(hebs::image::UsidId::kPout, 16);
+    const std::vector<hebs::ImageView> clip(4000, view_of(img));
+    std::size_t spans = 0;
+    for (int call = 0; call < 64 && spans <= 70000; ++call) {
+      ASSERT_TRUE(session->process_video(clip, 10.0).has_value());
+      spans = hebs::obs::collect_trace().size();
+    }
+    EXPECT_GT(spans, 70000u);
+    EXPECT_EQ(hebs::obs::dropped_spans(), 0u);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ObsSession, TracedBatchRecordsFromWorkersAndCallerOnly) {
+  TracingGuard guard;
+  const std::string path = temp_path("hebs_session_batch_trace.json");
+  {
+    auto session = hebs::Session::create(
+        hebs::SessionConfig().threads(3).trace_path(path));
+    ASSERT_TRUE(session.has_value()) << session.status().to_string();
+    const auto img = hebs::image::make_usid(hebs::image::UsidId::kLena, 32);
+    const std::vector<hebs::ImageView> frames(12, view_of(img));
+    ASSERT_TRUE(session->process_batch(frames, 10.0).has_value());
+    std::vector<std::uint32_t> tids;
+    for (const CollectedSpan& s : hebs::obs::collect_trace()) {
+      tids.push_back(s.tid);
+    }
+    ASSERT_FALSE(tids.empty());
+    EXPECT_LT(*std::max_element(tids.begin(), tids.end()), 4u);
+    EXPECT_EQ(hebs::obs::dropped_spans(), 0u);
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
